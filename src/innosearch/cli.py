@@ -61,25 +61,7 @@ EXIT_BUDGET = 4
 
 WORKERS_ENV = "INNOSEARCH_WORKERS"
 
-_OVERRIDE_KEYS = (
-    "p",
-    "v",
-    "delta",
-    "cost_family",
-    "c0",
-    "k",
-    "grid_size",
-    "tol",
-    "max_iters",
-    "inner_tol",
-    "runs",
-    "horizon",
-    "seed",
-    "slots",
-    "budget",
-    "out",
-    "format",
-)
+_OVERRIDE_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _big_int(text: str) -> int:
@@ -190,7 +172,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         b = path.boundaries
         inc = path.increments()
         for t in range(1, horizon + 1):
-            resid = euler_residual(params, sol, float(b[t - 1]))
+            resid = euler_residual(params, sol, float(b[t - 1]), l_next=float(b[t]))
             rows.append(
                 [
                     t,

@@ -78,7 +78,7 @@ class RunConfig:
             raise ConfigError(f"slots must be >= 1, got {self.slots}")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        tokens = {t.strip() for t in self.format.split(",") if t.strip()}
+        tokens = self.formats()
         unknown = tokens - {"csv", "json", "svg"}
         if unknown:
             raise ConfigError(f"unknown output format(s): {', '.join(sorted(unknown))}")
@@ -87,6 +87,7 @@ class RunConfig:
         return self
 
     def formats(self) -> set:
+        """Output formats named in the comma list `format`; validated() checks them."""
         return {t.strip() for t in self.format.split(",") if t.strip()}
 
 

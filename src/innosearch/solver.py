@@ -18,16 +18,26 @@ deterministic and favors the smallest maximizer: the coarse scan takes the
 first maximum and golden-section comparisons keep the left interval on
 equal values.
 
+The coarse scan's objective is R + D * W(l') with the payoff R and the
+discounted survival weight D independent of W, so both are computed once
+per set of rows (the grid for a whole solve, one state for policy_at) and
+every sweep only interpolates W at the candidates.
+
 Value iteration stops when successive sweeps differ by less than tol in sup
 norm, then runs one extra sweep so the returned policy is the greedy policy
 against the returned values.
+
+Path extraction re-maximizes at the exact state each period. The policy is a
+deterministic function of the state and the path is nondecreasing, so once
+the policy returns the state it was given, every later boundary equals that
+state and extraction stops maximizing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,13 +148,15 @@ class ValueSolution:
         """Exact-state maximizer of the Bellman objective given this solution's values."""
         if not (0.0 <= l <= self.cap):
             raise ValueError(f"frontier {l} outside [0, {self.cap}]")
+        rows = np.array([l])
         arg, _ = _maximize_rows(
             self.params,
-            np.array([l]),
+            rows,
             self.cap,
             self.nodes,
             self.values,
             self.config,
+            _coarse_terms(self.params, rows, self.cap, self.config),
         )
         return float(min(max(arg[0], l), self.cap))
 
@@ -178,16 +190,44 @@ def bellman_rhs(
     return float(out) if scalar else out
 
 
-def _rhs_raw(params: ModelParams, l, l_next, w):
-    """Bellman right side on raw arrays; no domain checks, continuation precomputed."""
+def _rhs_terms(params: ModelParams, l, l_next):
+    """Value-free parts (R, D) of the Bellman right side R + D * W(l_next).
+
+    R = s v - C(l, l_next) is the period payoff and D = delta (1 - l_next p) / (1 - l p)
+    the discounted survival weight. The domain is checked: cost_integral
+    raises unless 0 <= l <= l_next < 1 elementwise.
+    """
     denom = 1.0 - l * params.p
     s = params.p * (l_next - l) / denom
     cost = cost_integral(params.cost, l, l_next)
-    return s * params.v - cost + params.delta * (1.0 - l_next * params.p) / denom * w
+    return s * params.v - cost, params.delta * (1.0 - l_next * params.p) / denom
+
+
+def _rhs_raw(params: ModelParams, l, l_next, w):
+    """Bellman right side with the continuation w = W(l_next) precomputed.
+
+    Checked like _rhs_terms: raises unless 0 <= l <= l_next < 1 elementwise.
+    """
+    r, d = _rhs_terms(params, l, l_next)
+    return r + d * w
 
 
 def _interp_rhs(params: ModelParams, l, l_next, nodes, values):
     return _rhs_raw(params, l, l_next, np.interp(l_next, nodes, values))
+
+
+def _coarse_terms(
+    params: ModelParams, l: np.ndarray, cap: float, config: SolverConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse-scan candidates X of each row of l and their value-free terms (X, R, D).
+
+    X spans [l_i, cap] in coarse_points even steps; R and D are _rhs_terms at
+    X, so a sweep's coarse objective is R + D * W(X).
+    """
+    w = np.linspace(0.0, 1.0, config.coarse_points)
+    X = l[:, None] + (cap - l)[:, None] * w[None, :]
+    R, D = _rhs_terms(params, l[:, None], X)
+    return X, R, D
 
 
 def _maximize_rows(
@@ -197,19 +237,20 @@ def _maximize_rows(
     nodes: np.ndarray,
     values: np.ndarray,
     config: SolverConfig,
+    terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ):
     """Maximize the Bellman objective over l' in [l_i, cap] for each row i.
 
-    Coarse scan over coarse_points candidates, then golden-section on the
-    bracket around the best candidate, run for a fixed iteration count so
-    every row's bracket shrinks below inner_tol. Returns (argmax, max). The
-    coarse candidate is kept when refinement cannot strictly beat it, except
-    that exact ties go to the smaller frontier.
+    terms is _coarse_terms(params, l, cap, config). Coarse scan over its
+    candidates, then golden-section on the bracket around the best
+    candidate, run for a fixed iteration count so every row's bracket
+    shrinks below inner_tol. Returns (argmax, max). The coarse candidate is
+    kept when refinement cannot strictly beat it, except that exact ties go
+    to the smaller frontier.
     """
-    K = config.coarse_points
-    w = np.linspace(0.0, 1.0, K)
-    X = l[:, None] + (cap - l)[:, None] * w[None, :]
-    F = _interp_rhs(params, l[:, None], X, nodes, values)
+    X, R, D = terms
+    K = X.shape[1]
+    F = R + D * np.interp(X, nodes, values)
     kbest = np.argmax(F, axis=1)
     rows = np.arange(len(l))
     xc = X[rows, kbest]
@@ -249,10 +290,6 @@ def _maximize_rows(
     return np.minimum(arg, cap), best
 
 
-def _sweep(params: ModelParams, cap: float, nodes: np.ndarray, values: np.ndarray, config: SolverConfig):
-    return _maximize_rows(params, nodes, cap, nodes, values, config)
-
-
 def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) -> ValueSolution:
     """Solve the infinite-horizon problem by value iteration from W = 0.
 
@@ -268,10 +305,11 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
     cap = search_upper_bound(params)
     nodes = np.linspace(0.0, cap, config.grid_size)
     values = np.zeros(config.grid_size)
+    terms = _coarse_terms(params, nodes, cap, config)
     history: List[float] = []
     converged = False
     for _ in range(config.max_iters):
-        _, new_values = _sweep(params, cap, nodes, values, config)
+        _, new_values = _maximize_rows(params, nodes, cap, nodes, values, config, terms)
         diff = float(np.max(np.abs(new_values - values)))
         history.append(diff)
         values = new_values
@@ -284,7 +322,7 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
             f"last sup-norm change {history[-1]:.3e} vs tol {config.tol:.3e}",
             history,
         )
-    policy, final_values = _sweep(params, cap, nodes, values, config)
+    policy, final_values = _maximize_rows(params, nodes, cap, nodes, values, config, terms)
     history.append(float(np.max(np.abs(final_values - values))))
     return ValueSolution(
         params=params,
@@ -339,10 +377,11 @@ def backward_induction(
     cap = search_upper_bound(params)
     nodes = np.linspace(0.0, cap, config.grid_size)
     stage_values = [np.zeros(config.grid_size)]
+    terms = _coarse_terms(params, nodes, cap, config)
     history: List[float] = []
     policy = np.zeros(config.grid_size)
     for _ in range(truncation):
-        policy, new_values = _sweep(params, cap, nodes, stage_values[-1], config)
+        policy, new_values = _maximize_rows(params, nodes, cap, nodes, stage_values[-1], config, terms)
         history.append(float(np.max(np.abs(new_values - stage_values[-1]))))
         stage_values.append(new_values)
 
@@ -353,8 +392,10 @@ def backward_induction(
         if remaining == 0:
             lp = final_stage_boundary(params, l, cap)
         else:
+            rows = np.array([l])
             arg, _ = _maximize_rows(
-                params, np.array([l]), cap, nodes, stage_values[remaining], config
+                params, rows, cap, nodes, stage_values[remaining], config,
+                _coarse_terms(params, rows, cap, config),
             )
             lp = float(arg[0])
         l = min(max(lp, l), cap)
@@ -383,7 +424,9 @@ def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
     the grid, and clamps to [l, cap] so increments are never negative. Late
     increments shrink geometrically and eventually fall below the solver's
     resolution; activity_split separates the economically active prefix from
-    that numerically idle tail.
+    that numerically idle tail. Once a step returns its own state, the policy
+    would return it again every later period, so the rest of the path is
+    filled with it instead of maximized.
     """
     if not solution.converged:
         raise ValueError("solution did not converge; no path to extract")
@@ -392,7 +435,11 @@ def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
     boundaries = np.zeros(horizon + 1)
     l = 0.0
     for t in range(1, horizon + 1):
-        l = solution.policy_at(l)
+        lp = solution.policy_at(l)
+        if lp == l:
+            boundaries[t:] = l
+            break
+        l = lp
         boundaries[t] = l
     return FrontierPath(boundaries, horizon)
 
@@ -447,16 +494,24 @@ def euler_residual(
     solution: ValueSolution,
     l: float,
     step: Optional[float] = None,
+    l_next: Optional[float] = None,
 ) -> Optional[float]:
     """Central-difference derivative of the Bellman objective at the chosen policy.
 
     Near zero for interior policies; returns None when the policy sits too
     close to l or the cap for a symmetric difference to fit, in which case
-    the first-order condition does not apply.
+    the first-order condition does not apply. l_next is the policy's next
+    frontier from l when the caller already has it (a path from
+    frontier_sequence); without it the policy is maximized here.
     """
     if not (0.0 <= l < solution.cap):
         raise ValueError(f"frontier {l} outside [0, cap)")
-    lp = solution.policy_at(l)
+    if l_next is None:
+        lp = solution.policy_at(l)
+    elif l <= l_next <= solution.cap:
+        lp = l_next
+    else:
+        raise ValueError(f"next frontier {l_next} outside [{l}, {solution.cap}]")
     h = step if step is not None else 0.5 * solution.cell
     if lp - l < 2.0 * h or solution.cap - lp < 2.0 * h:
         return None

@@ -23,6 +23,7 @@ from innosearch import (
     value_iteration,
 )
 from innosearch.model import cost_density
+from innosearch.solver import ValueSolution, _coarse_terms, _interp_rhs
 
 # frozen canonical results at grid 2048, tol 1e-9 (see conftest for the instance)
 W0_CANONICAL = 0.3293771377650821
@@ -310,3 +311,68 @@ def test_euler_not_applicable_at_boundary(base_params, base_solution):
     assert euler_residual(base_params, base_solution, near_cap) is None
     with pytest.raises(ValueError):
         euler_residual(base_params, base_solution, base_solution.cap)
+
+
+# ------------------------------------------- invariants computed once per solve
+
+
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+def test_hoisted_coarse_terms_match_interp_rhs(family):
+    cost = CostModel(family, 0.1, 1.3)
+    params = ModelParams(0.45, 2.5, 0.92, cost)
+    cap = search_upper_bound(params)
+    config = SolverConfig(grid_size=257)
+    nodes = np.linspace(0.0, cap, config.grid_size)
+    values = 0.3 + np.sin(3.0 * nodes) * (1.0 - nodes)
+    X, R, D = _coarse_terms(params, nodes, cap, config)
+    assert X.shape == (config.grid_size, config.coarse_points)
+    F = R + D * np.interp(X, nodes, values)
+    assert np.array_equal(F, _interp_rhs(params, nodes[:, None], X, nodes, values))
+
+
+@pytest.fixture(scope="module")
+def log_solution_512(log_params):
+    return value_iteration(log_params, SolverConfig(grid_size=512))
+
+
+@pytest.mark.parametrize("which", ["base", "log"])
+def test_frontier_sequence_matches_stepwise_policy(which, base_solution, log_solution_512, monkeypatch):
+    sol = base_solution if which == "base" else log_solution_512
+    horizon = 200
+    stepwise = np.zeros(horizon + 1)
+    l = 0.0
+    for t in range(1, horizon + 1):
+        l = sol.policy_at(l)
+        stepwise[t] = l
+
+    calls = []
+    original = ValueSolution.policy_at
+
+    def counting(self, l):
+        calls.append(l)
+        return original(self, l)
+
+    monkeypatch.setattr(ValueSolution, "policy_at", counting)
+    path = frontier_sequence(sol, horizon)
+    assert np.array_equal(path.boundaries, stepwise)
+    # at most one maximization per distinct state, and none past the fixed point
+    assert len(calls) == len(set(calls)) <= len(set(stepwise.tolist()))
+    assert len(calls) < horizon
+
+
+def test_euler_residual_with_known_next_frontier(base_params, base_solution, base_path):
+    b = base_path.boundaries
+    given = [
+        euler_residual(base_params, base_solution, float(b[t - 1]), l_next=float(b[t]))
+        for t in range(1, base_path.horizon + 1)
+    ]
+    maximized = [euler_residual(base_params, base_solution, float(b[t - 1])) for t in range(1, base_path.horizon + 1)]
+    assert given == maximized
+    assert given[0] is not None and given[-1] is None
+
+
+def test_euler_residual_rejects_next_frontier_outside_state_space(base_params, base_solution):
+    with pytest.raises(ValueError):
+        euler_residual(base_params, base_solution, 0.2, l_next=0.1)
+    with pytest.raises(ValueError):
+        euler_residual(base_params, base_solution, 0.2, l_next=base_solution.cap + 1e-6)
