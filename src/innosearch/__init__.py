@@ -47,7 +47,6 @@ from .oracle import (
     DiscreteInstance,
     OracleReport,
     StructureReport,
-    best_assignment,
     best_assignment_report,
     compare_with_continuous,
     evaluate_assignment,
@@ -100,7 +99,6 @@ __all__ = [
     "DiscreteInstance",
     "OracleReport",
     "StructureReport",
-    "best_assignment",
     "best_assignment_report",
     "compare_with_continuous",
     "evaluate_assignment",

@@ -189,11 +189,19 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
 
     A searcher with no continuation extends the frontier until the marginal
     cost eats the marginal expected prize. The root is unique because c is
-    strictly increasing and diverges at 1.
+    strictly increasing and diverges at 1. Raises ValueError when the root
+    lies above 1 - BISECT_EDGE, where no bracket can reach it.
     """
     pv = params.p * params.v
     if pv <= params.cost.c0:
         return None
+    edge_cost = cost_density(params.cost, 1.0 - BISECT_EDGE)
+    if pv > edge_cost:
+        raise ValueError(
+            f"p v = {pv:g} exceeds c(1 - {BISECT_EDGE:g}) = {edge_cost:g}, the marginal cost at "
+            f"the edge of the solver's range: the one-shot boundary q* lies closer to 1 than "
+            f"1 - {BISECT_EDGE:g}"
+        )
     f = lambda q: cost_density(params.cost, q) - pv
     hi = 0.5
     while f(hi) < 0.0 and hi < 1.0 - BISECT_EDGE:

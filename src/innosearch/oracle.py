@@ -7,8 +7,8 @@ with period masses m_t, period costs K_t, and prior searched mass M_{t-1}:
 
     sum_t delta^(t-1) [ p m_t v - (1 - p M_{t-1}) K_t ]
 
-best_assignment enumerates every one of the (T+1)^N assignments, with no
-pruning and no dynamic-programming shortcut, so it is usable as an
+best_assignment_report enumerates every one of the (T+1)^N assignments,
+with no pruning and no dynamic-programming shortcut, so it is usable as an
 independent check on the continuum solver. The only concession to speed is
 shared arithmetic: assignments are split into a high-slot half and a
 low-slot half, per-half mass and cost profiles are tabulated once, and the
@@ -301,13 +301,6 @@ def best_assignment_report(
         tie_count=ties,
         evaluations=total,
     )
-
-
-def best_assignment(
-    instance: DiscreteInstance, budget: int = DEFAULT_BUDGET
-) -> Tuple[Assignment, float]:
-    report = best_assignment_report(instance, budget)
-    return report.assignment, report.value
 
 
 def structure_check(assignment: Assignment) -> StructureReport:

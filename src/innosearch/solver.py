@@ -11,9 +11,9 @@ frontier l'. States above j* = search_upper_bound never pay even without
 discounting, so the grid lives on [0, j*].
 
 Numerics: uniform grid, piecewise-linear interpolation of W between nodes,
-and per-node maximization by a coarse scan over evenly spaced candidates
-followed by golden-section refinement of the bracket around the best
-candidate. Everything is vectorized across nodes. Tie-breaking is
+and per-node maximization by a coarse scan over COARSE_POINTS evenly spaced
+candidates followed by golden-section refinement of the bracket around the
+best candidate. Everything is vectorized across nodes. Tie-breaking is
 deterministic and favors the smallest maximizer: the coarse scan takes the
 first maximum and golden-section comparisons keep the left interval on
 equal values.
@@ -23,21 +23,24 @@ discounted survival weight D independent of W, so both are computed once
 per set of rows (the grid for a whole solve, one state for policy_at) and
 every sweep only interpolates W at the candidates.
 
-Value iteration stops when successive sweeps differ by less than tol in sup
-norm, then runs one extra sweep so the returned policy is the greedy policy
-against the returned values.
+The infinite-horizon problem and its truncated benchmark share one sweep
+loop from W = 0. Value iteration stops when successive sweeps differ by less
+than tol in sup norm, then runs one extra sweep so the returned policy is the
+greedy policy against the returned values; backward induction keeps a fixed
+number of sweeps as its stages.
 
-Path extraction re-maximizes at the exact state each period. The policy is a
-deterministic function of the state and the path is nondecreasing, so once
-the policy returns the state it was given, every later boundary equals that
-state and extraction stops maximizing.
+Path extraction in both re-maximizes at the exact state each period. The
+policy is a deterministic function of the state and the path is
+nondecreasing, so once the policy returns the state it was given, every
+later boundary equals that state and extraction stops maximizing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +57,9 @@ from .model import (
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = 1.0 - _INVPHI
+
+# Evenly spaced candidates per row in the coarse scan that brackets each maximizer.
+COARSE_POINTS = 64
 
 # An increment is reported as active when it exceeds
 # max(ACTIVITY_FLOOR, cell * ACTIVITY_CELL_FRACTION); below that the step is
@@ -76,7 +82,6 @@ class SolverConfig:
     tol: float = 1e-9
     max_iters: int = 100_000
     inner_tol: float = 1e-10
-    coarse_points: int = 64
 
     def __post_init__(self):
         if self.grid_size < 64:
@@ -87,8 +92,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.inner_tol > 0.0):
             raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
-        if self.coarse_points < 8:
-            raise ValueError(f"coarse_points must be >= 8, got {self.coarse_points}")
 
 
 @dataclass
@@ -130,7 +133,6 @@ class ValueSolution:
     policy: np.ndarray
     iterations: int
     sup_norm_history: List[float]
-    converged: bool
 
     @property
     def cell(self) -> float:
@@ -148,17 +150,7 @@ class ValueSolution:
         """Exact-state maximizer of the Bellman objective given this solution's values."""
         if not (0.0 <= l <= self.cap):
             raise ValueError(f"frontier {l} outside [0, {self.cap}]")
-        rows = np.array([l])
-        arg, _ = _maximize_rows(
-            self.params,
-            rows,
-            self.cap,
-            self.nodes,
-            self.values,
-            self.config,
-            _coarse_terms(self.params, rows, self.cap, self.config),
-        )
-        return float(min(max(arg[0], l), self.cap))
+        return _step(self.params, self.config, self.cap, self.nodes, self.values, l)
 
 
 @dataclass
@@ -185,8 +177,8 @@ def bellman_rhs(
     l_next = np.asarray(l_next, dtype=float)
     if np.any(l < 0.0) or np.any(l_next < l) or np.any(l_next >= 1.0):
         raise ValueError("frontiers must satisfy 0 <= l <= l_next < 1")
-    w = np.asarray(continuation(l_next), dtype=float)
-    out = _rhs_raw(params, l, l_next, w)
+    r, d = _rhs_terms(params, l, l_next)
+    out = r + d * np.asarray(continuation(l_next), dtype=float)
     return float(out) if scalar else out
 
 
@@ -203,28 +195,20 @@ def _rhs_terms(params: ModelParams, l, l_next):
     return s * params.v - cost, params.delta * (1.0 - l_next * params.p) / denom
 
 
-def _rhs_raw(params: ModelParams, l, l_next, w):
-    """Bellman right side with the continuation w = W(l_next) precomputed.
-
-    Checked like _rhs_terms: raises unless 0 <= l <= l_next < 1 elementwise.
-    """
-    r, d = _rhs_terms(params, l, l_next)
-    return r + d * w
-
-
 def _interp_rhs(params: ModelParams, l, l_next, nodes, values):
-    return _rhs_raw(params, l, l_next, np.interp(l_next, nodes, values))
+    r, d = _rhs_terms(params, l, l_next)
+    return r + d * np.interp(l_next, nodes, values)
 
 
 def _coarse_terms(
-    params: ModelParams, l: np.ndarray, cap: float, config: SolverConfig
+    params: ModelParams, l: np.ndarray, cap: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coarse-scan candidates X of each row of l and their value-free terms (X, R, D).
 
-    X spans [l_i, cap] in coarse_points even steps; R and D are _rhs_terms at
+    X spans [l_i, cap] in COARSE_POINTS even steps; R and D are _rhs_terms at
     X, so a sweep's coarse objective is R + D * W(X).
     """
-    w = np.linspace(0.0, 1.0, config.coarse_points)
+    w = np.linspace(0.0, 1.0, COARSE_POINTS)
     X = l[:, None] + (cap - l)[:, None] * w[None, :]
     R, D = _rhs_terms(params, l[:, None], X)
     return X, R, D
@@ -241,7 +225,7 @@ def _maximize_rows(
 ):
     """Maximize the Bellman objective over l' in [l_i, cap] for each row i.
 
-    terms is _coarse_terms(params, l, cap, config). Coarse scan over its
+    terms is _coarse_terms(params, l, cap). Coarse scan over its
     candidates, then golden-section on the bracket around the best
     candidate, run for a fixed iteration count so every row's bracket
     shrinks below inner_tol. Returns (argmax, max). The coarse candidate is
@@ -290,6 +274,41 @@ def _maximize_rows(
     return np.minimum(arg, cap), best
 
 
+def _step(
+    params: ModelParams, config: SolverConfig, cap: float, nodes: np.ndarray, values: np.ndarray, l: float
+) -> float:
+    """Maximizer of the Bellman objective at the exact state l given values, clamped to [l, cap]."""
+    rows = np.array([l])
+    terms = _coarse_terms(params, rows, cap)
+    arg, _ = _maximize_rows(params, rows, cap, nodes, values, config, terms)
+    return float(min(max(arg[0], l), cap))
+
+
+def _bellman_sweeps(
+    params: ModelParams, config: SolverConfig
+) -> Tuple[float, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray, float]]]:
+    """The state grid and an endless run of Bellman sweeps on it from W = 0.
+
+    Returns (cap, nodes, sweeps); each item of sweeps is the greedy policy,
+    the new values and their sup-norm change from the previous values.
+    Raises ValueError up front when searching is not worthwhile.
+    """
+    if not feasible_to_search(params):
+        raise ValueError("searching is not worthwhile: p v <= c(0)")
+    cap = search_upper_bound(params)
+    nodes = np.linspace(0.0, cap, config.grid_size)
+    terms = _coarse_terms(params, nodes, cap)
+
+    def sweeps():
+        values = np.zeros(config.grid_size)
+        while True:
+            policy, new_values = _maximize_rows(params, nodes, cap, nodes, values, config, terms)
+            yield policy, new_values, float(np.max(np.abs(new_values - values)))
+            values = new_values
+
+    return cap, nodes, sweeps()
+
+
 def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) -> ValueSolution:
     """Solve the infinite-horizon problem by value iteration from W = 0.
 
@@ -300,40 +319,29 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
     the sup-norm history for diagnostics.
     """
     config = config or SolverConfig()
-    if not feasible_to_search(params):
-        raise ValueError("searching is not worthwhile: p v <= c(0)")
-    cap = search_upper_bound(params)
-    nodes = np.linspace(0.0, cap, config.grid_size)
-    values = np.zeros(config.grid_size)
-    terms = _coarse_terms(params, nodes, cap, config)
+    cap, nodes, sweeps = _bellman_sweeps(params, config)
     history: List[float] = []
-    converged = False
-    for _ in range(config.max_iters):
-        _, new_values = _maximize_rows(params, nodes, cap, nodes, values, config, terms)
-        diff = float(np.max(np.abs(new_values - values)))
+    for _, _, diff in itertools.islice(sweeps, config.max_iters):
         history.append(diff)
-        values = new_values
         if diff < config.tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"no convergence after {config.max_iters} sweeps: "
             f"last sup-norm change {history[-1]:.3e} vs tol {config.tol:.3e}",
             history,
         )
-    policy, final_values = _maximize_rows(params, nodes, cap, nodes, values, config, terms)
-    history.append(float(np.max(np.abs(final_values - values))))
+    policy, values, diff = next(sweeps)
+    history.append(diff)
     return ValueSolution(
         params=params,
         config=config,
         cap=cap,
         nodes=nodes,
-        values=final_values,
+        values=values,
         policy=policy,
         iterations=len(history),
         sup_norm_history=history,
-        converged=True,
     )
 
 
@@ -372,34 +380,20 @@ def backward_induction(
     config = config or SolverConfig()
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if not feasible_to_search(params):
-        raise ValueError("searching is not worthwhile: p v <= c(0)")
-    cap = search_upper_bound(params)
-    nodes = np.linspace(0.0, cap, config.grid_size)
+    cap, nodes, sweeps = _bellman_sweeps(params, config)
     stage_values = [np.zeros(config.grid_size)]
-    terms = _coarse_terms(params, nodes, cap, config)
     history: List[float] = []
-    policy = np.zeros(config.grid_size)
-    for _ in range(truncation):
-        policy, new_values = _maximize_rows(params, nodes, cap, nodes, stage_values[-1], config, terms)
-        history.append(float(np.max(np.abs(new_values - stage_values[-1]))))
-        stage_values.append(new_values)
+    for policy, values, diff in itertools.islice(sweeps, truncation):
+        stage_values.append(values)
+        history.append(diff)
 
     boundaries = np.zeros(truncation + 1)
     l = 0.0
-    for t in range(1, truncation + 1):
-        remaining = truncation - t
-        if remaining == 0:
-            lp = final_stage_boundary(params, l, cap)
-        else:
-            rows = np.array([l])
-            arg, _ = _maximize_rows(
-                params, rows, cap, nodes, stage_values[remaining], config,
-                _coarse_terms(params, rows, cap, config),
-            )
-            lp = float(arg[0])
-        l = min(max(lp, l), cap)
+    for t in range(1, truncation):
+        l = _step(params, config, cap, nodes, stage_values[truncation - t], l)
         boundaries[t] = l
+    # final_stage_boundary bisects inside [l, cap], so it needs no clamp
+    boundaries[truncation] = final_stage_boundary(params, l, cap)
 
     return BackwardSolution(
         params=params,
@@ -410,7 +404,6 @@ def backward_induction(
         policy=policy,
         iterations=truncation,
         sup_norm_history=history,
-        converged=True,
         truncation=truncation,
         stage_values=stage_values,
         path=FrontierPath(boundaries, truncation),
@@ -428,8 +421,6 @@ def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
     would return it again every later period, so the rest of the path is
     filled with it instead of maximized.
     """
-    if not solution.converged:
-        raise ValueError("solution did not converge; no path to extract")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     boundaries = np.zeros(horizon + 1)

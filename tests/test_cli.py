@@ -86,6 +86,14 @@ def test_error_exit_codes(tmp_path, argv, code):
     assert main(argv + ["--out", str(tmp_path / "run")]) == code
 
 
+def test_one_shot_boundary_beyond_solver_edge(tmp_path, capsys):
+    argv = ["solve", "--p", "0.95", "--v", "50", "--cost-family", "logarithmic"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "p v = 47.5" in err and "closer to 1" in err
+    assert "bisection" not in err
+
+
 def test_bad_config_key_reports_location(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 0.5\nspee = 3\n", encoding="utf-8")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from innosearch import (
+    BISECT_EDGE,
     CostModel,
     ModelParams,
     cost_density,
@@ -217,6 +218,21 @@ def test_myopic_boundary_residual_and_none():
         assert 0.0 < q < 1.0
         assert abs(cost_density(cost, q) - p * v) < 1e-10
     assert myopic_boundary(params_with(CostModel.reciprocal(0.2, 1.0), p=0.1, v=1.0)) is None
+
+
+def test_myopic_boundary_beyond_solver_edge_is_named():
+    # c(1 - BISECT_EDGE) = 27.63...: just below it the root is still bracketed
+    # (1 - q* = exp(-p v) ~ 1.03e-12), above it the error names p v and the
+    # edge cost instead of a failed bisection
+    edge_cost = cost_density(LOG, 1.0 - BISECT_EDGE)
+    inside = params_with(LOG, p=0.95, v=0.999 * edge_cost / 0.95)
+    assert 1.0 - 1e-11 < myopic_boundary(inside) <= 1.0 - BISECT_EDGE
+    beyond = params_with(LOG, p=0.95, v=50.0)
+    with pytest.raises(ValueError, match="closer to 1") as err:
+        myopic_boundary(beyond)
+    assert "p v = 47.5" in str(err.value) and f"{edge_cost:g}" in str(err.value)
+    with pytest.raises(ValueError, match="closer to 1"):
+        search_upper_bound(beyond)
 
 
 def test_search_cap_canonical_value():

@@ -13,7 +13,6 @@ from innosearch import (
     ModelParams,
     SolverConfig,
     backward_induction,
-    best_assignment,
     best_assignment_report,
     compare_with_continuous,
     evaluate_assignment,
@@ -191,13 +190,6 @@ def test_budget_guard():
         best_assignment_report(small, budget=80)
     report = best_assignment_report(small, budget=81)
     assert report.evaluations == 81
-
-
-def test_best_assignment_shortcut():
-    instance = DiscreteInstance.from_params(CANONICAL, 4, 2)
-    assignment, value = best_assignment(instance)
-    assert assignment.schedule == FIXTURE_SCHEDULE
-    assert value == pytest.approx(FIXTURE_VALUE, abs=1e-12)
 
 
 # ---------------------------------------------------------------- structure

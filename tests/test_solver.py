@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from innosearch import (
     value_iteration,
 )
 from innosearch.model import cost_density
-from innosearch.solver import ValueSolution, _coarse_terms, _interp_rhs
+from innosearch.solver import COARSE_POINTS, ValueSolution, _coarse_terms, _interp_rhs
 
 # frozen canonical results at grid 2048, tol 1e-9 (see conftest for the instance)
 W0_CANONICAL = 0.3293771377650821
@@ -69,7 +70,6 @@ def test_rhs_rejects_bad_frontiers(base_params):
 
 def test_canonical_regression(base_solution):
     sol = base_solution
-    assert sol.converged
     assert sol.iterations < 100
     assert sol.values[0] == pytest.approx(W0_CANONICAL, abs=1e-9)
     assert sol.policy_at(0.0) == pytest.approx(L1_CANONICAL, abs=1e-6)
@@ -140,6 +140,18 @@ def test_runs_out_of_sweeps(base_params):
     assert len(err.value.history) == 3
 
 
+def test_max_iters_boundary(base_params, base_solution):
+    # k sweeps reach tol, so max_iters = k converges (plus the greedy sweep)
+    # and max_iters = k - 1 runs out one sweep short
+    config = base_solution.config
+    k = next(i + 1 for i, d in enumerate(base_solution.sup_norm_history) if d < config.tol)
+    sol = value_iteration(base_params, dataclasses.replace(config, max_iters=k))
+    assert sol.iterations == k + 1
+    with pytest.raises(ConvergenceError) as err:
+        value_iteration(base_params, dataclasses.replace(config, max_iters=k - 1))
+    assert len(err.value.history) == k - 1
+
+
 def test_infeasible_instance_rejected():
     params = ModelParams(0.1, 1.0, 0.9, CostModel.reciprocal(0.2, 1.0))
     with pytest.raises(ValueError):
@@ -167,8 +179,6 @@ def test_solver_config_validation():
         SolverConfig(grid_size=32)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(coarse_points=4)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
 
@@ -225,6 +235,18 @@ def test_two_period_value_against_nested_closed_form(base_params):
     bsol = backward_induction(base_params, 2, SolverConfig(grid_size=2048))
     assert bsol.stage_values[2][0] == pytest.approx(-opt.fun, abs=1e-6)
     assert bsol.path.boundaries[1] == pytest.approx(opt.x, abs=5e-4)
+
+
+@pytest.mark.parametrize("which", ["base", "log"])
+def test_backward_stages_are_value_iteration_sweeps(which, base_params, log_params):
+    # both solvers sweep the same operator from W = 0, so the first n changes agree exactly
+    params = base_params if which == "base" else log_params
+    config = SolverConfig(grid_size=512)
+    n = 12
+    assert (
+        backward_induction(params, n, config).sup_norm_history
+        == value_iteration(params, config).sup_norm_history[:n]
+    )
 
 
 def test_backward_rejects_bad_truncation(base_params):
@@ -324,8 +346,8 @@ def test_hoisted_coarse_terms_match_interp_rhs(family):
     config = SolverConfig(grid_size=257)
     nodes = np.linspace(0.0, cap, config.grid_size)
     values = 0.3 + np.sin(3.0 * nodes) * (1.0 - nodes)
-    X, R, D = _coarse_terms(params, nodes, cap, config)
-    assert X.shape == (config.grid_size, config.coarse_points)
+    X, R, D = _coarse_terms(params, nodes, cap)
+    assert X.shape == (config.grid_size, COARSE_POINTS)
     F = R + D * np.interp(X, nodes, values)
     assert np.array_equal(F, _interp_rhs(params, nodes[:, None], X, nodes, values))
 
