@@ -171,6 +171,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         rows = []
         b = path.boundaries
         inc = path.increments()
+        # belief that a feasible project exists, entering each period
+        posterior = posterior_feasible(params, b[:-1])
+        period_cost = cost_integral(params.cost, b[:-1], b[1:])
         for t in range(1, horizon + 1):
             resid = euler_residual(params, sol, float(b[t - 1]), l_next=float(b[t]))
             rows.append(
@@ -179,9 +182,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
                     float(b[t]),
                     float(inc[t - 1]),
                     bool(inc[t - 1] > threshold),
-                    # belief that a feasible project exists, entering period t
-                    float(posterior_feasible(params, b[t - 1])),
-                    float(cost_integral(params.cost, b[t - 1], b[t])),
+                    float(posterior[t - 1]),
+                    float(period_cost[t - 1]),
                     resid,
                 ]
             )
@@ -192,11 +194,12 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             rows,
         )
 
+    q_star = myopic_boundary(params)
     summary = _params_payload(rc)
     summary.update(
         {
             "searched": True,
-            "q_star": myopic_boundary(params),
+            "q_star": q_star,
             "j_star": sol.cap,
             "value_at_zero": float(sol.values[0]),
             "first_boundary": float(path.boundaries[1]),
@@ -223,7 +226,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             [("frontier path", t_axis, [float(x) for x in path.boundaries])],
             hlines=[
                 (sol.cap, "search cap j*"),
-                (float(myopic_boundary(params)), "one-shot boundary q*"),
+                (float(q_star), "one-shot boundary q*"),
             ],
         )
         write_svg(rc.out, "frontier", chart)

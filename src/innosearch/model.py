@@ -118,16 +118,34 @@ def cost_integral(cost: CostModel, a: ArrayLike, b: ArrayLike) -> ArrayLike:
     b = np.asarray(b, dtype=float)
     if np.any(a < 0.0) or np.any(b < a) or np.any(b >= 1.0):
         raise ValueError("interval endpoints must satisfy 0 <= a <= b < 1")
+    return _ret(scalar, _cost_integral_kernel(cost, a, b, _antiderivative_term(cost, a)))
+
+
+def _antiderivative_term(cost: CostModel, x: np.ndarray) -> np.ndarray:
+    """The log term of the interval cost's antiderivative at x.
+
+    log1p(-x) for the reciprocal family, (1 - x) log1p(-x) for the logarithmic one.
+    """
+    if cost.family is CostFamily.RECIPROCAL:
+        return np.log1p(-x)
+    return (1.0 - x) * np.log1p(-x)
+
+
+def _cost_integral_kernel(cost: CostModel, a: np.ndarray, b: np.ndarray, term_a: np.ndarray) -> np.ndarray:
+    """cost_integral without its domain check, given term_a = _antiderivative_term(cost, a).
+
+    Callers guarantee 0 <= a <= b < 1; a caller with fixed left ends computes
+    term_a once for all of its intervals.
+    """
     d = b - a
+    term_b = _antiderivative_term(cost, b)
     if cost.family is CostFamily.RECIPROCAL:
         # integral of j/(1-j) on [a, b) is log((1-a)/(1-b)) - (b - a)
-        out = cost.c0 * d + cost.k * (np.log1p(-a) - np.log1p(-b) - d)
+        out = cost.c0 * d + cost.k * (term_a - term_b - d)
     else:
         # integral of -log(1-j) on [a, b) is (1-b)log(1-b) - (1-a)log(1-a) + (b - a)
-        out = cost.c0 * d + cost.k * (
-            (1.0 - b) * np.log1p(-b) - (1.0 - a) * np.log1p(-a) + d
-        )
-    return _ret(scalar, np.where(d == 0.0, 0.0, out))
+        out = cost.c0 * d + cost.k * (term_b - term_a + d)
+    return np.where(d == 0.0, 0.0, out)
 
 
 def posterior_feasible(params: ModelParams, l: ArrayLike) -> ArrayLike:

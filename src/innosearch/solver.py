@@ -19,9 +19,13 @@ first maximum and golden-section comparisons keep the left interval on
 equal values.
 
 The coarse scan's objective is R + D * W(l') with the payoff R and the
-discounted survival weight D independent of W, so both are computed once
-per set of rows (the grid for a whole solve, one state for policy_at) and
-every sweep only interpolates W at the candidates.
+discounted survival weight D independent of W. Both are computed once per
+set of rows (the grid for a whole solve, one state for policy_at), together
+with an interpolation stencil: each candidate's node interval and its
+offset in it. A sweep then evaluates W at the candidates with np.interp's
+own formula and no search, bitwise equal to np.interp. The golden-section
+objective computes its row terms once per call, and the bracket is checked
+once per call rather than at every evaluation.
 
 The infinite-horizon problem and its truncated benchmark share one sweep
 loop from W = 0. Value iteration stops when successive sweeps differ by less
@@ -48,7 +52,9 @@ from .model import (
     BISECT_TOL,
     ArrayLike,
     ModelParams,
+    _antiderivative_term,
     _bisect_increasing,
+    _cost_integral_kernel,
     cost_density,
     cost_integral,
     feasible_to_search,
@@ -177,41 +183,96 @@ def bellman_rhs(
     l_next = np.asarray(l_next, dtype=float)
     if np.any(l < 0.0) or np.any(l_next < l) or np.any(l_next >= 1.0):
         raise ValueError("frontiers must satisfy 0 <= l <= l_next < 1")
-    r, d = _rhs_terms(params, l, l_next)
+    r, d = _rhs_terms(params, l, l_next, 1.0 - l * params.p, cost_integral(params.cost, l, l_next))
     out = r + d * np.asarray(continuation(l_next), dtype=float)
     return float(out) if scalar else out
 
 
-def _rhs_terms(params: ModelParams, l, l_next):
+def _rhs_terms(params: ModelParams, l, l_next, denom, cost):
     """Value-free parts (R, D) of the Bellman right side R + D * W(l_next).
 
-    R = s v - C(l, l_next) is the period payoff and D = delta (1 - l_next p) / (1 - l p)
-    the discounted survival weight. The domain is checked: cost_integral
-    raises unless 0 <= l <= l_next < 1 elementwise.
+    Takes the row term denom = 1 - l p and the interval cost C(l, l_next).
+    R = s v - C(l, l_next) is the period payoff, with s = p (l_next - l) / denom,
+    and D = delta (1 - l_next p) / denom the discounted survival weight.
     """
-    denom = 1.0 - l * params.p
     s = params.p * (l_next - l) / denom
-    cost = cost_integral(params.cost, l, l_next)
     return s * params.v - cost, params.delta * (1.0 - l_next * params.p) / denom
 
 
-def _interp_rhs(params: ModelParams, l, l_next, nodes, values):
-    r, d = _rhs_terms(params, l, l_next)
-    return r + d * np.interp(l_next, nodes, values)
+def _row_objective(params: ModelParams, l: np.ndarray, nodes: np.ndarray, values: np.ndarray):
+    """The Bellman objective x -> R + D * W(x) of the rows l, W interpolated from values.
+
+    The row terms 1 - l p and the cost antiderivative at l are computed once
+    here rather than at every evaluation, and nothing is checked: callers
+    guarantee 0 <= l <= x < 1. The operations are bellman_rhs's in the same
+    order, so the results are bitwise equal to it.
+    """
+    denom = 1.0 - l * params.p
+    term_l = _antiderivative_term(params.cost, l)
+
+    def objective(x):
+        r, d = _rhs_terms(params, l, x, denom, _cost_integral_kernel(params.cost, l, x, term_l))
+        return r + d * np.interp(x, nodes, values)
+
+    return objective
+
+
+def _coarse_candidates(l, cap: float, k):
+    """Coarse-scan candidates l + (cap - l) w[k] of the rows l, w = linspace(0, 1, COARSE_POINTS)."""
+    return l + (cap - l) * np.linspace(0.0, 1.0, COARSE_POINTS)[k]
+
+
+def _interp_stencil(nodes: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stencil (j, t) of np.interp(x, nodes, .) at points x >= nodes[0].
+
+    j (int32) is the last node at or below x and t = x - nodes[j] >= 0.
+    """
+    # in place, so at most one full-size temporary is alive next to j and t
+    j = np.searchsorted(nodes, x, "right").astype(np.int32)
+    j -= 1
+    t = nodes[j]
+    np.subtract(x, t, out=t)
+    return j, t
+
+
+def _interp_at_stencil(j: np.ndarray, t: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.interp(x, nodes, values) bitwise, given the stencil (j, t) of x; a new array.
+
+    Evaluates slope[j] * t + values[j] with slope[j] the slope of values on
+    [nodes[j], nodes[j + 1]]: np.interp's own formula. The slope at the last
+    node is 0, so points at or past it get its value, as from np.interp.
+    """
+    slope = np.append(np.diff(values) / np.diff(nodes), 0.0)
+    # fancy indexing casts the int32 j in buffered chunks; np.take would copy it to intp whole
+    out = slope[j]
+    out *= t
+    out += values[j]
+    return out
 
 
 def _coarse_terms(
-    params: ModelParams, l: np.ndarray, cap: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coarse-scan candidates X of each row of l and their value-free terms (X, R, D).
+    params: ModelParams, l: np.ndarray, cap: float, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The value-free parts (j, t, R, D) of the coarse scan of each row of l.
 
-    X spans [l_i, cap] in COARSE_POINTS even steps; R and D are _rhs_terms at
-    X, so a sweep's coarse objective is R + D * W(X).
+    The candidates X of row i span [l_i, cap] in COARSE_POINTS even steps;
+    (j, t) is their interpolation stencil and R, D are _rhs_terms at X. X
+    itself is not kept: _coarse_candidates rebuilds any candidate bitwise.
     """
-    w = np.linspace(0.0, 1.0, COARSE_POINTS)
-    X = l[:, None] + (cap - l)[:, None] * w[None, :]
-    R, D = _rhs_terms(params, l[:, None], X)
-    return X, R, D
+    rows = l[:, None]
+    X = _coarse_candidates(rows, cap, np.arange(COARSE_POINTS))
+    # the stencil after R and D, so it is not held while cost_integral's temporaries (the peak) are
+    R, D = _rhs_terms(params, rows, X, 1.0 - rows * params.p, cost_integral(params.cost, rows, X))
+    return (*_interp_stencil(nodes, X), R, D)
+
+
+def _coarse_objective(terms, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The coarse scan's objective R + D * W(X), built in place from the stencil."""
+    j, t, R, D = terms
+    F = _interp_at_stencil(j, t, nodes, values)
+    F *= D
+    F += R
+    return F
 
 
 def _maximize_rows(
@@ -221,42 +282,44 @@ def _maximize_rows(
     nodes: np.ndarray,
     values: np.ndarray,
     config: SolverConfig,
-    terms: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    terms: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
     """Maximize the Bellman objective over l' in [l_i, cap] for each row i.
 
-    terms is _coarse_terms(params, l, cap). Coarse scan over its
+    terms is _coarse_terms(params, l, cap, nodes). Coarse scan over its
     candidates, then golden-section on the bracket around the best
     candidate, run for a fixed iteration count so every row's bracket
-    shrinks below inner_tol. Returns (argmax, max). The coarse candidate is
+    shrinks below inner_tol. The bracket is checked once to lie in [l, 1);
+    every golden-section point lies inside it, so the refinement evaluates
+    the objective unchecked. Returns (argmax, max). The coarse candidate is
     kept when refinement cannot strictly beat it, except that exact ties go
     to the smaller frontier.
     """
-    X, R, D = terms
-    K = X.shape[1]
-    F = R + D * np.interp(X, nodes, values)
+    F = _coarse_objective(terms, nodes, values)
     kbest = np.argmax(F, axis=1)
-    rows = np.arange(len(l))
-    xc = X[rows, kbest]
-    fc = F[rows, kbest]
-    a = X[rows, np.maximum(kbest - 1, 0)]
-    b = X[rows, np.minimum(kbest + 1, K - 1)]
+    fc = F[np.arange(len(l)), kbest]
+    xc = _coarse_candidates(l, cap, kbest)
+    a = _coarse_candidates(l, cap, np.maximum(kbest - 1, 0))
+    b = _coarse_candidates(l, cap, np.minimum(kbest + 1, COARSE_POINTS - 1))
 
     h = b - a
     hmax = float(np.max(h, initial=0.0))
     if hmax > config.inner_tol:
+        if np.any(a < l) or np.any(b >= 1.0):
+            raise ValueError("golden-section bracket must satisfy l <= a <= b < 1")
+        objective = _row_objective(params, l, nodes, values)
         n = int(math.ceil(math.log(config.inner_tol / hmax) / math.log(_INVPHI)))
         x1 = a + _INVPHI2 * h
         x2 = a + _INVPHI * h
-        f1 = _interp_rhs(params, l, x1, nodes, values)
-        f2 = _interp_rhs(params, l, x2, nodes, values)
+        f1 = objective(x1)
+        f2 = objective(x2)
         for _ in range(n):
             left = f1 >= f2
             b = np.where(left, x2, b)
             a = np.where(left, a, x1)
             h = b - a
             xnew = np.where(left, a + _INVPHI2 * h, a + _INVPHI * h)
-            fnew = _interp_rhs(params, l, xnew, nodes, values)
+            fnew = objective(xnew)
             x1, x2, f1, f2 = (
                 np.where(left, xnew, x2),
                 np.where(left, x1, xnew),
@@ -279,7 +342,7 @@ def _step(
 ) -> float:
     """Maximizer of the Bellman objective at the exact state l given values, clamped to [l, cap]."""
     rows = np.array([l])
-    terms = _coarse_terms(params, rows, cap)
+    terms = _coarse_terms(params, rows, cap, nodes)
     arg, _ = _maximize_rows(params, rows, cap, nodes, values, config, terms)
     return float(min(max(arg[0], l), cap))
 
@@ -297,7 +360,7 @@ def _bellman_sweeps(
         raise ValueError("searching is not worthwhile: p v <= c(0)")
     cap = search_upper_bound(params)
     nodes = np.linspace(0.0, cap, config.grid_size)
-    terms = _coarse_terms(params, nodes, cap)
+    terms = _coarse_terms(params, nodes, cap, nodes)
 
     def sweeps():
         values = np.zeros(config.grid_size)

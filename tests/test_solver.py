@@ -24,7 +24,16 @@ from innosearch import (
     value_iteration,
 )
 from innosearch.model import cost_density
-from innosearch.solver import COARSE_POINTS, ValueSolution, _coarse_terms, _interp_rhs
+from innosearch.solver import (
+    COARSE_POINTS,
+    ValueSolution,
+    _coarse_candidates,
+    _coarse_objective,
+    _coarse_terms,
+    _interp_at_stencil,
+    _interp_stencil,
+    _row_objective,
+)
 
 # frozen canonical results at grid 2048, tol 1e-9 (see conftest for the instance)
 W0_CANONICAL = 0.3293771377650821
@@ -338,18 +347,76 @@ def test_euler_not_applicable_at_boundary(base_params, base_solution):
 # ------------------------------------------- invariants computed once per solve
 
 
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _test_instance(family):
+    cost = CostModel(family, 0.1, 1.3)
+    return ModelParams(0.45, 2.5, 0.92, cost)
+
+
+def _wavy_values(nodes):
+    return 0.3 + np.sin(3.0 * nodes / nodes[-1]) * (1.0 - nodes)
+
+
+def _near_infeasible(family):
+    # p v = c0 (1 + 1e-9): searching barely pays and the state space is tiny
+    c0 = 0.2
+    return ModelParams(0.5, 2.0 * c0 * (1.0 + 1e-9), 0.9, CostModel(family, c0, 1.0))
+
+
 @pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
 def test_hoisted_coarse_terms_match_interp_rhs(family):
-    cost = CostModel(family, 0.1, 1.3)
-    params = ModelParams(0.45, 2.5, 0.92, cost)
+    params = _test_instance(family)
     cap = search_upper_bound(params)
-    config = SolverConfig(grid_size=257)
-    nodes = np.linspace(0.0, cap, config.grid_size)
-    values = 0.3 + np.sin(3.0 * nodes) * (1.0 - nodes)
-    X, R, D = _coarse_terms(params, nodes, cap)
-    assert X.shape == (config.grid_size, COARSE_POINTS)
-    F = R + D * np.interp(X, nodes, values)
-    assert np.array_equal(F, _interp_rhs(params, nodes[:, None], X, nodes, values))
+    nodes = np.linspace(0.0, cap, 257)
+    values = _wavy_values(nodes)
+    F = _coarse_objective(_coarse_terms(params, nodes, cap, nodes), nodes, values)
+    X = nodes[:, None] + (cap - nodes)[:, None] * np.linspace(0.0, 1.0, COARSE_POINTS)[None, :]
+    expected = bellman_rhs(params, nodes[:, None], X, lambda y: np.interp(y, nodes, values))
+    assert F.shape == (len(nodes), COARSE_POINTS)
+    assert _same_bits(F, expected)
+
+
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+@pytest.mark.parametrize("near_infeasible", [False, True])
+def test_interp_stencil_is_bitwise_interp(family, near_infeasible):
+    params = _near_infeasible(family) if near_infeasible else _test_instance(family)
+    cap = search_upper_bound(params)
+    if near_infeasible:
+        assert 0.0 < cap < 1e-6
+    nodes = np.linspace(0.0, cap, 257)
+    values = _wavy_values(nodes)
+    # every coarse candidate (the row l = cap included), the nodes, cap and one ulp past it
+    X = _coarse_candidates(nodes[:, None], cap, np.arange(COARSE_POINTS))
+    x = np.concatenate([X.ravel(), nodes, [cap, np.nextafter(cap, 1.0)]])
+    assert nodes[-1] == cap and np.all(X[-1] == cap)
+    j, t = _interp_stencil(nodes, x)
+    assert j.dtype == np.int32
+    assert _same_bits(_interp_at_stencil(j, t, nodes, values), np.interp(x, nodes, values))
+
+
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+def test_golden_objective_is_bitwise_bellman_rhs(family):
+    params = _test_instance(family)
+    cap = search_upper_bound(params)
+    nodes = np.linspace(0.0, cap, 257)
+    values = _wavy_values(nodes)
+    l = nodes[:-1]
+    objective = _row_objective(params, l, nodes, values)
+    interp = lambda y: np.interp(y, nodes, values)
+    for x in (l, l + 0.37 * (cap - l), np.full_like(l, cap)):
+        assert _same_bits(objective(x), bellman_rhs(params, l, x, interp))
+    # a pure wait pays no cost at all: only the weighted continuation D W(l) is left
+    wait = params.delta * (1.0 - l * params.p) / (1.0 - l * params.p) * values[:-1]
+    assert _same_bits(objective(l), wait)
+
+
+def test_policy_at_cap_is_cap(base_solution, log_solution_512):
+    for sol in (base_solution, log_solution_512):
+        assert sol.policy_at(sol.cap) == sol.cap
 
 
 @pytest.fixture(scope="module")
