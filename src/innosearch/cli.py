@@ -6,8 +6,11 @@
     innosearch sweep    --out DIR --param NAME (--values A,B,.. | --start A --stop B --count N)
 
 Every command reads an optional flat key = value config file and applies
-flag overrides on top. Tables are written as CSV with a JSON twin holding
-the same rows; --format svg adds charts. Exit codes: 0 success (including
+flag overrides on top. Each RunConfig field is one flag; flag values are
+parsed exactly as config-file values are, and main loads the run config
+once, filling in the command's default horizon, before calling the
+command's handler. Tables are written as CSV with a JSON twin holding the
+same rows; --format svg adds charts. Exit codes: 0 success (including
 the legitimate no-search verdict), 2 configuration or validation error,
 3 solver did not converge, 4 enumeration budget exceeded.
 
@@ -61,14 +64,9 @@ EXIT_BUDGET = 4
 
 WORKERS_ENV = "INNOSEARCH_WORKERS"
 
-_OVERRIDE_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
-
-
-def _big_int(text: str) -> int:
-    x = float(text)
-    if x != int(x):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(x)
+# Periods when no horizon is given: path length (solve, sweep), censoring
+# cap (simulate), number of periods (oracle).
+DEFAULT_HORIZONS = {"solve": 200, "sweep": 200, "simulate": 500, "oracle": 2}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,22 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of csv,json,svg (default csv,json); tables come as csv+json pairs, svg adds charts",
     )
 
+    # RunConfig overrides: strings here, parsed by load_run_config like file values
     ov = argparse.ArgumentParser(add_help=False)
-    ov.add_argument("--p", type=float, help="prior probability a feasible project exists")
-    ov.add_argument("--v", type=float, help="prize for completing the feasible project")
-    ov.add_argument("--delta", type=float, help="discount factor per period")
-    ov.add_argument("--cost-family", dest="cost_family", choices=("reciprocal", "logarithmic"))
-    ov.add_argument("--c0", type=float, help="marginal cost intercept")
-    ov.add_argument("--k", type=float, help="marginal cost slope parameter")
-    ov.add_argument("--grid-size", dest="grid_size", type=int)
-    ov.add_argument("--tol", type=float, help="sup-norm convergence tolerance")
-    ov.add_argument("--max-iters", dest="max_iters", type=_big_int)
-    ov.add_argument("--inner-tol", dest="inner_tol", type=float)
-    ov.add_argument("--runs", type=_big_int, help="Monte Carlo run count")
-    ov.add_argument("--horizon", type=int, help="periods: path length (solve), cap (simulate), T (oracle)")
-    ov.add_argument("--seed", type=_big_int, help="64-bit simulation seed")
-    ov.add_argument("--slots", type=int, help="slot count for the discrete benchmark")
-    ov.add_argument("--budget", type=_big_int, help="assignment enumeration budget")
+    ov.add_argument("--p", help="prior probability a feasible project exists")
+    ov.add_argument("--v", help="prize for completing the feasible project")
+    ov.add_argument("--delta", help="discount factor per period")
+    ov.add_argument("--cost-family", dest="cost_family", help="reciprocal or logarithmic")
+    ov.add_argument("--c0", help="marginal cost intercept")
+    ov.add_argument("--k", help="marginal cost slope parameter")
+    ov.add_argument("--grid-size", dest="grid_size")
+    ov.add_argument("--tol", help="sup-norm convergence tolerance")
+    ov.add_argument("--max-iters", dest="max_iters")
+    ov.add_argument("--runs", help="Monte Carlo run count")
+    ov.add_argument("--horizon", help="periods: path length (solve, sweep), cap (simulate), T (oracle)")
+    ov.add_argument("--seed", help="64-bit simulation seed")
+    ov.add_argument("--slots", help="slot count for the discrete benchmark")
+    ov.add_argument("--budget", help="assignment enumeration budget")
 
     parser = argparse.ArgumentParser(
         prog="innosearch",
@@ -113,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--stop", type=float, help="last sweep value")
     sw.add_argument("--count", type=int, help="number of evenly spaced values")
     return parser
-
-
-def _overrides(ns: argparse.Namespace) -> Dict[str, object]:
-    return {key: getattr(ns, key) for key in _OVERRIDE_KEYS}
-
-
 
 
 def _params_payload(rc: RunConfig) -> Dict[str, object]:
@@ -146,15 +138,13 @@ def _no_search_summary(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_solve(ns: argparse.Namespace) -> int:
-    rc = load_run_config(ns.config, _overrides(ns))
+def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
     params = rc.model_params()
     if not feasible_to_search(params):
         return _no_search_summary(rc)
-    horizon = rc.horizon if rc.horizon is not None else 200
     sol = value_iteration(params, rc.solver_config())
-    path = frontier_sequence(sol, horizon)
+    path = frontier_sequence(sol, rc.horizon)
     threshold = sol.activity_threshold
     activity = activity_split(path, threshold)
 
@@ -174,7 +164,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         # belief that a feasible project exists, entering each period
         posterior = posterior_feasible(params, b[:-1])
         period_cost = cost_integral(params.cost, b[:-1], b[1:])
-        for t in range(1, horizon + 1):
+        for t in range(1, rc.horizon + 1):
             resid = euler_residual(params, sol, float(b[t - 1]), l_next=float(b[t]))
             rows.append(
                 [
@@ -208,7 +198,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             "converged": True,  # failure raises ConvergenceError
             "grid_size": rc.grid_size,
             "tol": rc.tol,
-            "horizon": horizon,
+            "horizon": rc.horizon,
             "activity_threshold": threshold,
             "active_periods": activity.active_count,
             "active_prefix_contiguous": activity.contiguous,
@@ -243,22 +233,20 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
     print(
         f"solved: W(0) = {sol.values[0]:.12g}, first boundary {path.boundaries[1]:.12g}, "
-        f"{sol.iterations} sweeps, {activity.active_count} active periods of {horizon}"
+        f"{sol.iterations} sweeps, {activity.active_count} active periods of {rc.horizon}"
     )
     return EXIT_OK
 
 
-def cmd_simulate(ns: argparse.Namespace) -> int:
-    rc = load_run_config(ns.config, _overrides(ns))
+def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
     params = rc.model_params()
     if not feasible_to_search(params):
         return _no_search_summary(rc)
-    cap = rc.horizon if rc.horizon is not None else 500
     sol = value_iteration(params, rc.solver_config())
-    path = frontier_sequence(sol, cap)
-    stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed, cap))
-    periods = np.arange(1, cap + 1)
+    path = frontier_sequence(sol, rc.horizon)
+    stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed, rc.horizon))
+    periods = np.arange(1, rc.horizon + 1)
     analytic_active = active_probability_analytic(params, path, periods)
     analytic_success = params.p * path.boundaries[1:]
 
@@ -328,18 +316,16 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(ns: argparse.Namespace) -> int:
-    rc = load_run_config(ns.config, _overrides(ns))
+def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
     params = rc.model_params()
-    horizon = rc.horizon if rc.horizon is not None else 2
-    instance = DiscreteInstance.from_params(params, rc.slots, horizon)
+    instance = DiscreteInstance.from_params(params, rc.slots, rc.horizon)
     report = best_assignment_report(instance, budget=rc.budget)
     structure = structure_check(report.assignment)
 
     comparison = None
     if feasible_to_search(params):
-        bsol = backward_induction(params, horizon, rc.solver_config())
+        bsol = backward_induction(params, rc.horizon, rc.solver_config())
         comp = compare_with_continuous(instance, bsol, budget=rc.budget, report=report)
         comparison = {
             "discrete_value": comp.discrete_value,
@@ -359,7 +345,7 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     payload.update(
         {
             "slots": rc.slots,
-            "horizon": horizon,
+            "horizon": rc.horizon,
             "budget": rc.budget,
             "evaluations": report.evaluations,
             "value": report.value,
@@ -406,7 +392,7 @@ def _sweep_worker(job) -> Dict[str, object]:
             row["value_at_zero"] = 0.0
             return row
         sol = value_iteration(params, rc.solver_config())
-        path = frontier_sequence(sol, 200)
+        path = frontier_sequence(sol, rc.horizon)
         row["value_at_zero"] = float(sol.values[0])
         row["first_boundary"] = float(path.boundaries[1])
         row["l_inf"] = float(path.boundaries[-1])
@@ -436,8 +422,7 @@ def _sweep_values(ns: argparse.Namespace) -> List[float]:
     return list(np.linspace(ns.start, ns.stop, ns.count))
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    rc = load_run_config(ns.config, _overrides(ns))
+def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
     spec = SweepSpec(ns.param, _sweep_values(ns))
     jobs = [
@@ -504,7 +489,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": cmd_sweep,
     }
     try:
-        return handlers[ns.command](ns)
+        overrides = {f.name: getattr(ns, f.name) for f in dataclasses.fields(RunConfig)}
+        rc = load_run_config(ns.config, overrides)
+        if rc.horizon is None:
+            rc.horizon = DEFAULT_HORIZONS[ns.command]
+        return handlers[ns.command](rc, ns)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

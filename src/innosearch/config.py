@@ -1,9 +1,14 @@
 """Run configuration: defaults, flat key = value config files, CLI overrides.
 
-Config files are flat text: one `key = value` per line, # starts a comment,
-blank lines are fine. Keys match the CLI flag names with underscores.
-Unknown or duplicate keys are hard errors so typos cannot silently fall
-back to defaults. Precedence is CLI flag over file over default.
+Every run setting is one RunConfig field, settable as a config-file key and
+as the CLI flag of the same name (underscores become dashes). Config files
+are flat text: one `key = value` per line, # starts a comment, blank lines
+are fine. Unknown or duplicate keys are hard errors so typos cannot silently
+fall back to defaults. Precedence is CLI flag over file over default.
+
+File values and flag values go through one parser, _coerce: integers are
+exact (any size), a float spelling such as 1e6 is accepted for an integer
+only when it is finite and integral, and strings pass through verbatim.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .model import CostModel, ModelParams
+from .oracle import DEFAULT_BUDGET
 from .solver import SolverConfig
 
 
@@ -33,16 +39,16 @@ class RunConfig:
     grid_size: int = 2048
     tol: float = 1e-9
     max_iters: int = 100_000
-    inner_tol: float = 1e-10
     # simulation
     runs: int = 100_000
     seed: int = 12345
-    # horizon is command-specific: path length for solve, censoring cap for
-    # simulate, number of periods for oracle. None picks the command default.
+    # horizon is command-specific: path length for solve and sweep, censoring
+    # cap for simulate, number of periods for oracle. None picks the command
+    # default.
     horizon: Optional[int] = None
     # discrete benchmark
     slots: int = 8
-    budget: int = 10_000_000
+    budget: int = DEFAULT_BUDGET
     # output
     out: str = "out"
     format: str = "csv,json"
@@ -60,7 +66,6 @@ class RunConfig:
                 grid_size=self.grid_size,
                 tol=self.tol,
                 max_iters=self.max_iters,
-                inner_tol=self.inner_tol,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -95,17 +100,20 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
+    """The typed value of field `key` spelled as raw, from a file or a flag."""
     typ = _FIELDS[key].type
-    raw = raw.strip()
+    if typ == "str":
+        return raw
     try:
         if typ == "float":
             return float(raw)
-        if typ in ("int", "Optional[int]"):
+        try:
+            return int(raw)
+        except ValueError:
             x = float(raw)
-            if x != int(x):
-                raise ValueError
+            if not x.is_integer():  # also rejects inf and nan, so int(x) cannot overflow
+                raise
             return int(x)
-        return raw
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from None
 
@@ -126,12 +134,15 @@ def parse_config_file(path: str) -> Dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = _coerce(key, raw)
+            values[key] = _coerce(key, raw.strip())
     return values
 
 
 def load_run_config(path: Optional[str], overrides: Dict[str, object]) -> RunConfig:
-    """Defaults, then file values, then non-None CLI overrides; validates the result."""
+    """Defaults, then file values, then non-None overrides; validates the result.
+
+    String overrides (CLI flag values) are parsed as config-file values are.
+    """
     config = RunConfig()
     if path is not None:
         for key, value in parse_config_file(path).items():
@@ -141,7 +152,7 @@ def load_run_config(path: Optional[str], overrides: Dict[str, object]) -> RunCon
             continue
         if key not in _FIELDS:
             raise ConfigError(f"unknown override {key!r}")
-        setattr(config, key, value)
+        setattr(config, key, _coerce(key, value) if isinstance(value, str) else value)
     return config.validated()
 
 

@@ -113,13 +113,6 @@ class Assignment:
         if any(d < 0 for d in sched):
             raise ValueError("schedule digits must be >= 0")
 
-    def code(self, horizon: int) -> int:
-        """Mixed-radix code with slot 0 most significant, base horizon + 1."""
-        code = 0
-        for d in self.schedule:
-            code = code * (horizon + 1) + d
-        return code
-
 
 @dataclass
 class StructureReport:

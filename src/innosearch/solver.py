@@ -13,10 +13,10 @@ discounting, so the grid lives on [0, j*].
 Numerics: uniform grid, piecewise-linear interpolation of W between nodes,
 and per-node maximization by a coarse scan over COARSE_POINTS evenly spaced
 candidates followed by golden-section refinement of the bracket around the
-best candidate. Everything is vectorized across nodes. Tie-breaking is
-deterministic and favors the smallest maximizer: the coarse scan takes the
-first maximum and golden-section comparisons keep the left interval on
-equal values.
+best candidate to a width below INNER_TOL. Everything is vectorized across
+nodes. Tie-breaking is deterministic and favors the smallest maximizer: the
+coarse scan takes the first maximum and golden-section comparisons keep the
+left interval on equal values.
 
 The coarse scan's objective is R + D * W(l') with the payoff R and the
 discounted survival weight D independent of W. Both are computed once per
@@ -66,6 +66,8 @@ _INVPHI2 = 1.0 - _INVPHI
 
 # Evenly spaced candidates per row in the coarse scan that brackets each maximizer.
 COARSE_POINTS = 64
+# Golden-section refinement runs until every row's bracket is narrower than this.
+INNER_TOL = 1e-10
 
 # An increment is reported as active when it exceeds
 # max(ACTIVITY_FLOOR, cell * ACTIVITY_CELL_FRACTION); below that the step is
@@ -87,7 +89,6 @@ class SolverConfig:
     grid_size: int = 2048
     tol: float = 1e-9
     max_iters: int = 100_000
-    inner_tol: float = 1e-10
 
     def __post_init__(self):
         if self.grid_size < 64:
@@ -96,8 +97,6 @@ class SolverConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.inner_tol > 0.0):
-            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
 
 
 @dataclass
@@ -156,7 +155,7 @@ class ValueSolution:
         """Exact-state maximizer of the Bellman objective given this solution's values."""
         if not (0.0 <= l <= self.cap):
             raise ValueError(f"frontier {l} outside [0, {self.cap}]")
-        return _step(self.params, self.config, self.cap, self.nodes, self.values, l)
+        return _step(self.params, self.cap, self.nodes, self.values, l)
 
 
 @dataclass
@@ -281,7 +280,6 @@ def _maximize_rows(
     cap: float,
     nodes: np.ndarray,
     values: np.ndarray,
-    config: SolverConfig,
     terms: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
     """Maximize the Bellman objective over l' in [l_i, cap] for each row i.
@@ -289,7 +287,7 @@ def _maximize_rows(
     terms is _coarse_terms(params, l, cap, nodes). Coarse scan over its
     candidates, then golden-section on the bracket around the best
     candidate, run for a fixed iteration count so every row's bracket
-    shrinks below inner_tol. The bracket is checked once to lie in [l, 1);
+    shrinks below INNER_TOL. The bracket is checked once to lie in [l, 1);
     every golden-section point lies inside it, so the refinement evaluates
     the objective unchecked. Returns (argmax, max). The coarse candidate is
     kept when refinement cannot strictly beat it, except that exact ties go
@@ -304,11 +302,11 @@ def _maximize_rows(
 
     h = b - a
     hmax = float(np.max(h, initial=0.0))
-    if hmax > config.inner_tol:
+    if hmax > INNER_TOL:
         if np.any(a < l) or np.any(b >= 1.0):
             raise ValueError("golden-section bracket must satisfy l <= a <= b < 1")
         objective = _row_objective(params, l, nodes, values)
-        n = int(math.ceil(math.log(config.inner_tol / hmax) / math.log(_INVPHI)))
+        n = int(math.ceil(math.log(INNER_TOL / hmax) / math.log(_INVPHI)))
         x1 = a + _INVPHI2 * h
         x2 = a + _INVPHI * h
         f1 = objective(x1)
@@ -337,13 +335,11 @@ def _maximize_rows(
     return np.minimum(arg, cap), best
 
 
-def _step(
-    params: ModelParams, config: SolverConfig, cap: float, nodes: np.ndarray, values: np.ndarray, l: float
-) -> float:
+def _step(params: ModelParams, cap: float, nodes: np.ndarray, values: np.ndarray, l: float) -> float:
     """Maximizer of the Bellman objective at the exact state l given values, clamped to [l, cap]."""
     rows = np.array([l])
     terms = _coarse_terms(params, rows, cap, nodes)
-    arg, _ = _maximize_rows(params, rows, cap, nodes, values, config, terms)
+    arg, _ = _maximize_rows(params, rows, cap, nodes, values, terms)
     return float(min(max(arg[0], l), cap))
 
 
@@ -365,7 +361,7 @@ def _bellman_sweeps(
     def sweeps():
         values = np.zeros(config.grid_size)
         while True:
-            policy, new_values = _maximize_rows(params, nodes, cap, nodes, values, config, terms)
+            policy, new_values = _maximize_rows(params, nodes, cap, nodes, values, terms)
             yield policy, new_values, float(np.max(np.abs(new_values - values)))
             values = new_values
 
@@ -453,7 +449,7 @@ def backward_induction(
     boundaries = np.zeros(truncation + 1)
     l = 0.0
     for t in range(1, truncation):
-        l = _step(params, config, cap, nodes, stage_values[truncation - t], l)
+        l = _step(params, cap, nodes, stage_values[truncation - t], l)
         boundaries[t] = l
     # final_stage_boundary bisects inside [l, cap], so it needs no clamp
     boundaries[truncation] = final_stage_boundary(params, l, cap)

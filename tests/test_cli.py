@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import json
 import os
 import xml.dom.minidom
 
 import pytest
 
-from innosearch.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
+from innosearch.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, build_parser, main
+from innosearch.config import RunConfig
 
 
 def read_json(out, name):
@@ -80,6 +82,8 @@ def test_config_file_and_flag_precedence(tmp_path):
         (["sweep", "--param", "delta", "--values", "0.5,1.5"], EXIT_CONFIG),
         (["sweep", "--param", "v", "--values", "1", "--start", "1", "--stop", "2", "--count", "2"], EXIT_CONFIG),
         (["oracle", "--slots", "20", "--horizon", "5"], EXIT_BUDGET),
+        (["solve", "--p", "abc"], EXIT_CONFIG),
+        (["solve", "--cost-family", "cubic"], EXIT_CONFIG),
     ],
 )
 def test_error_exit_codes(tmp_path, argv, code):
@@ -208,3 +212,59 @@ def test_sweep_reports_total_failure(tmp_path, capsys):
     assert "ConvergenceError" in captured.err
     table = read_csv(out, "sweep")
     assert table[1][table[0].index("status")] == "error"
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+def test_seed_flag_is_exact(tmp_path, seed):
+    out = str(tmp_path / "run")
+    argv = ["simulate", "--seed", str(seed), "--runs", "1000", "--horizon", "10", "--grid-size", "64"]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    assert read_json(out, "summary")["seed"] == seed
+
+
+def test_infinite_integer_setting_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_size = inf\n", encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main(["solve", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+    assert "cannot parse grid_size = 'inf'" in capsys.readouterr().err
+    assert main(["simulate", "--runs", "inf", "--out", out]) == EXIT_CONFIG
+    assert "cannot parse runs = 'inf'" in capsys.readouterr().err
+
+
+def test_integer_flag_takes_float_spelling(tmp_path):
+    out = str(tmp_path / "run")
+    argv = ["oracle", "--slots", "1e1", "--horizon", "1", "--grid-size", "64", "--out", out]
+    assert main(argv) == EXIT_OK
+    payload = read_json(out, "oracle")
+    assert payload["slots"] == 10
+    assert len(payload["schedule"]) == 10
+
+
+def test_inner_tol_is_not_a_setting(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("inner_tol = 1e-8\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "unknown key 'inner_tol'" in capsys.readouterr().err
+
+
+def test_sweep_honours_horizon(tmp_path):
+    out_sweep = str(tmp_path / "sweep")
+    out_solve = str(tmp_path / "solve")
+    common = ["--horizon", "3", "--grid-size", "256"]
+    assert main(["sweep", "--param", "v", "--values", "2", "--out", out_sweep] + common) == EXIT_OK
+    assert main(["solve", "--out", out_solve] + common) == EXIT_OK
+    data = read_json(out_sweep, "sweep")
+    frontier = read_json(out_solve, "frontier")
+    assert len(frontier["rows"]) == 3
+    last = frontier["rows"][-1][frontier["columns"].index("frontier")]
+    assert data["rows"][0][data["columns"].index("l_inf")] == last
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "oracle", "sweep"])
+def test_override_flags_are_run_config_fields(command):
+    sweep_only = ["--param", "v"] if command == "sweep" else []
+    ns = build_parser().parse_args([command] + sweep_only)
+    flags = set(vars(ns)) - {"command", "config", "param", "values", "start", "stop", "count"}
+    assert flags == {f.name for f in dataclasses.fields(RunConfig)}
+    assert all(getattr(ns, name) is None for name in flags)
