@@ -14,9 +14,11 @@ same rows; --format svg adds charts. Exit codes: 0 success (including
 the legitimate no-search verdict), 2 configuration or validation error,
 3 solver did not converge, 4 enumeration budget exceeded.
 
-Sweeps fan instances out over a process pool; INNOSEARCH_WORKERS caps the
-pool size. Workers only compute, the parent writes all files, and rows keep
-the order the sweep values were given in.
+A sweep is a list of run configs, one per sweep value, each validated before
+any is solved. They fan out over a process pool with one worker per CPU the
+process may run on, and run in this process when that is one. Workers only
+compute, the parent writes all files, and rows keep the order the sweep
+values were given in.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_BUDGET = 4
 
-WORKERS_ENV = "INNOSEARCH_WORKERS"
-
 # Periods when no horizon is given: path length (solve, sweep), censoring
 # cap (simulate), number of periods (oracle).
 DEFAULT_HORIZONS = {"solve": 200, "sweep": 200, "simulate": 500, "oracle": 2}
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", parents=[common, ov], help="solve across a parameter range")
     sw.add_argument("--param", required=True, help="p, v, delta, c0, k, or scale")
     sw.add_argument("--values", help="comma-separated sweep values")
-    sw.add_argument("--start", type=float, help="first sweep value")
-    sw.add_argument("--stop", type=float, help="last sweep value")
-    sw.add_argument("--count", type=int, help="number of evenly spaced values")
+    sw.add_argument("--start", help="first sweep value")
+    sw.add_argument("--stop", help="last sweep value")
+    sw.add_argument("--count", help="number of evenly spaced values")
     return parser
 
 
@@ -369,12 +369,9 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(job) -> Dict[str, object]:
+def _sweep_worker(rc: RunConfig) -> Dict[str, object]:
     """Solve one sweep point; returns a row dict and never raises."""
-    parameter, value, fields = job
     row: Dict[str, object] = {
-        "parameter": parameter,
-        "value": value,
         "status": "ok",
         "value_at_zero": None,
         "first_boundary": None,
@@ -385,7 +382,6 @@ def _sweep_worker(job) -> Dict[str, object]:
         "error": None,
     }
     try:
-        rc = RunConfig(**fields)
         params = rc.model_params()
         if not feasible_to_search(params):
             row["status"] = "no-search"
@@ -405,56 +401,20 @@ def _sweep_worker(job) -> Dict[str, object]:
     return row
 
 
-def _sweep_values(ns: argparse.Namespace) -> List[float]:
-    if ns.values is not None:
-        if ns.start is not None or ns.stop is not None or ns.count is not None:
-            raise ConfigError("give either --values or --start/--stop/--count, not both")
-        try:
-            return [float(tok) for tok in ns.values.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"cannot parse sweep values {ns.values!r}") from None
-    if ns.start is None or ns.stop is None or ns.count is None:
-        raise ConfigError("sweep needs --values or all of --start, --stop, --count")
-    if ns.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {ns.count}")
-    if ns.count == 1:
-        return [ns.start]
-    return list(np.linspace(ns.start, ns.stop, ns.count))
-
-
 def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
-    spec = SweepSpec(ns.param, _sweep_values(ns))
-    jobs = [
-        (spec.parameter, x, dataclasses.asdict(spec.apply(rc, x))) for x in spec.values
-    ]
-    env_workers = os.environ.get(WORKERS_ENV, "").strip()
-    max_workers = None
-    if env_workers:
-        try:
-            max_workers = max(1, int(env_workers))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env_workers!r}") from None
-    max_workers = max_workers or min(len(jobs), os.cpu_count() or 1)
-
-    if len(jobs) == 1:
-        results = [_sweep_worker(jobs[0])]
+    spec = SweepSpec.from_flags(ns.param, ns.values, ns.start, ns.stop, ns.count)
+    configs = [spec.apply(rc, x) for x in spec.values]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(configs), cpus)
+    if workers == 1:
+        points = [_sweep_worker(c) for c in configs]
     else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_sweep_worker, configs))
+    results = [{"parameter": spec.parameter, "value": x, **r} for x, r in zip(spec.values, points)]
 
-    columns = [
-        "parameter",
-        "value",
-        "status",
-        "value_at_zero",
-        "first_boundary",
-        "l_inf",
-        "q_star",
-        "j_star",
-        "iterations",
-        "error",
-    ]
+    columns = list(results[0])
     if fmts & {"csv", "json"}:
         write_table(rc.out, "sweep", columns, [[row[c] for c in columns] for row in results])
 

@@ -8,7 +8,8 @@ fall back to defaults. Precedence is CLI flag over file over default.
 
 File values and flag values go through one parser, _coerce: integers are
 exact (any size), a float spelling such as 1e6 is accepted for an integer
-only when it is finite and integral, and strings pass through verbatim.
+only when it is finite and integral, and strings pass through verbatim. The
+sweep's --start, --stop and --count flags use the same number rules.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from .model import CostModel, ModelParams
 from .oracle import DEFAULT_BUDGET
@@ -99,11 +102,8 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
-    """The typed value of field `key` spelled as raw, from a file or a flag."""
-    typ = _FIELDS[key].type
-    if typ == "str":
-        return raw
+def _number(typ: str, name: str, raw: str):
+    """raw as a float, or as an exact integer when typ is "int"."""
     try:
         if typ == "float":
             return float(raw)
@@ -115,7 +115,13 @@ def _coerce(key: str, raw: str):
                 raise
             return int(x)
     except ValueError:
-        raise ConfigError(f"cannot parse {key} = {raw!r}") from None
+        raise ConfigError(f"cannot parse {name} = {raw!r}") from None
+
+
+def _coerce(key: str, raw: str):
+    """The typed value of field `key` spelled as raw, from a file or a flag."""
+    typ = _FIELDS[key].type
+    return raw if typ == "str" else _number(typ, key, raw)
 
 
 def parse_config_file(path: str) -> Dict[str, object]:
@@ -179,19 +185,34 @@ class SweepSpec:
             )
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        for x in self.values:
-            self._check_value(float(x))
 
-    def _check_value(self, x: float):
-        par = self.parameter
-        if par in ("p", "delta") and not (0.0 < x < 1.0):
-            raise ConfigError(f"sweep value {x} out of range for {par}: need (0, 1)")
-        if par in ("v", "k", "scale") and not (x > 0.0):
-            raise ConfigError(f"sweep value {x} out of range for {par}: need > 0")
-        if par == "c0" and not (x >= 0.0):
-            raise ConfigError(f"sweep value {x} out of range for c0: need >= 0")
+    @classmethod
+    def from_flags(cls, parameter: str, values: Optional[str], start: Optional[str],
+                   stop: Optional[str], count: Optional[str]) -> "SweepSpec":
+        """The sweep named by a comma list, or by start, stop and count, spelled as flags.
+
+        Numbers are parsed as config-file values are; range checks are left
+        to apply.
+        """
+        if values is not None:
+            if start is not None or stop is not None or count is not None:
+                raise ConfigError("give either --values or --start/--stop/--count, not both")
+            try:
+                points = [float(tok) for tok in values.split(",") if tok.strip()]
+            except ValueError:
+                raise ConfigError(f"cannot parse sweep values {values!r}") from None
+            return cls(parameter, points)
+        if start is None or stop is None or count is None:
+            raise ConfigError("sweep needs --values or all of --start, --stop, --count")
+        first = _number("float", "start", start)
+        last = _number("float", "stop", stop)
+        n = _number("int", "count", count)
+        if n < 1:
+            raise ConfigError(f"--count must be >= 1, got {n}")
+        return cls(parameter, [first] if n == 1 else list(np.linspace(first, last, n)))
 
     def apply(self, base: RunConfig, value: float) -> RunConfig:
+        """base with the swept parameter set to value, validated."""
         variant = dataclasses.replace(base)
         if self.parameter == "scale":
             variant.v = base.v * value
@@ -200,4 +221,7 @@ class SweepSpec:
             variant.tol = base.tol * value
         else:
             setattr(variant, self.parameter, value)
-        return variant.validated()
+        try:
+            return variant.validated()
+        except ConfigError as e:
+            raise ConfigError(f"sweep {self.parameter} = {value}: {e}") from None

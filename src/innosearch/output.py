@@ -13,7 +13,6 @@ import json
 import math
 import os
 from typing import List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 
 def format_cell(x) -> str:
@@ -46,6 +45,11 @@ def write_json(out_dir: str, name: str, payload) -> None:
     with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _escape(text: str) -> str:
+    """text with &, < and > as XML entities, & first so entities are not escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
@@ -112,7 +116,7 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif">',
         f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
-        f'<text x="{_W / 2:.1f}" y="26" font-size="17" text-anchor="middle">{escape(title)}</text>',
+        f'<text x="{_W / 2:.1f}" y="26" font-size="17" text-anchor="middle">{_escape(title)}</text>',
     ]
     for t in _nice_ticks(x_lo, x_hi):
         if x_lo <= t <= x_hi:
@@ -133,11 +137,11 @@ def line_chart(
         f'fill="none" stroke="#333333"/>'
     )
     parts.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" font-size="13" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" font-size="13" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="20" y="{(_MT + _H - _MB) / 2:.1f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {(_MT + _H - _MB) / 2:.1f})">{_escape(ylabel)}</text>'
     )
 
     for y, label in hlines:
@@ -148,7 +152,7 @@ def line_chart(
         )
         parts.append(
             f'<text x="{_W - _MR - 4}" y="{yy - 5:.2f}" font-size="11" fill="#666666" '
-            f'text-anchor="end">{escape(label)}</text>'
+            f'text-anchor="end">{_escape(label)}</text>'
         )
 
     legend_y = _MT + 16
@@ -165,7 +169,7 @@ def line_chart(
             f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 22}" y2="{legend_y - 4}" '
             f'stroke="{color}" stroke-width="2.5"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{legend_y}" font-size="12">{escape(label)}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{legend_y}" font-size="12">{_escape(label)}</text>')
         legend_y += 17
 
     parts.append("</svg>")

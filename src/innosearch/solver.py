@@ -543,14 +543,13 @@ def euler_residual(
     params: ModelParams,
     solution: ValueSolution,
     l: float,
-    step: Optional[float] = None,
     l_next: Optional[float] = None,
 ) -> Optional[float]:
     """Central-difference derivative of the Bellman objective at the chosen policy.
 
-    Near zero for interior policies; returns None when the policy sits too
-    close to l or the cap for a symmetric difference to fit, in which case
-    the first-order condition does not apply. l_next is the policy's next
+    The step is half a grid cell. Near zero for interior policies; returns
+    None when the policy sits too close to l or the cap for a symmetric
+    difference to fit, in which case the first-order condition does not apply. l_next is the policy's next
     frontier from l when the caller already has it (a path from
     frontier_sequence); without it the policy is maximized here.
     """
@@ -562,7 +561,7 @@ def euler_residual(
         lp = l_next
     else:
         raise ValueError(f"next frontier {l_next} outside [{l}, {solution.cap}]")
-    h = step if step is not None else 0.5 * solution.cell
+    h = 0.5 * solution.cell
     if lp - l < 2.0 * h or solution.cap - lp < 2.0 * h:
         return None
     fplus = bellman_rhs(params, l, lp + h, solution.value_at)

@@ -84,6 +84,8 @@ def test_config_file_and_flag_precedence(tmp_path):
         (["oracle", "--slots", "20", "--horizon", "5"], EXIT_BUDGET),
         (["solve", "--p", "abc"], EXIT_CONFIG),
         (["solve", "--cost-family", "cubic"], EXIT_CONFIG),
+        (["sweep", "--param", "v", "--start", "1", "--stop", "2", "--count", "abc"], EXIT_CONFIG),
+        (["sweep", "--param", "v", "--start", "x", "--stop", "2", "--count", "2"], EXIT_CONFIG),
     ],
 )
 def test_error_exit_codes(tmp_path, argv, code):
@@ -145,8 +147,7 @@ def test_simulate_reproducible_files(tmp_path):
     assert summary["final_active_fraction"] >= (1.0 - summary["p"]) - 0.02
 
 
-def test_sweep_values_across_prize(tmp_path, monkeypatch):
-    monkeypatch.setenv("INNOSEARCH_WORKERS", "2")
+def test_sweep_values_across_prize(tmp_path):
     out = str(tmp_path / "run")
     code = main(
         ["sweep", "--param", "v", "--values", "1,2,4", "--out", out, "--format", "csv,json,svg"]
@@ -172,20 +173,20 @@ def test_sweep_values_across_prize(tmp_path, monkeypatch):
         xml.dom.minidom.parseString(fh.read())
 
 
-def test_single_point_sweep_matches_solve(tmp_path):
+@pytest.mark.parametrize("values", ["2", "1,2"])  # one point runs in-process, two on the pool
+def test_single_point_sweep_matches_solve(tmp_path, values):
     out_sweep = str(tmp_path / "sweep")
     out_solve = str(tmp_path / "solve")
-    assert main(["sweep", "--param", "v", "--values", "2", "--out", out_sweep]) == EXIT_OK
+    assert main(["sweep", "--param", "v", "--values", values, "--out", out_sweep]) == EXIT_OK
     assert main(["solve", "--out", out_solve]) == EXIT_OK
-    row = read_json(out_sweep, "sweep")["rows"][0]
     summary = read_json(out_solve, "summary")
     cols = read_json(out_sweep, "sweep")["columns"]
+    row = [r for r in read_json(out_sweep, "sweep")["rows"] if r[cols.index("value")] == 2.0][0]
     assert row[cols.index("value_at_zero")] == summary["value_at_zero"]
     assert row[cols.index("first_boundary")] == summary["first_boundary"]
 
 
-def test_sweep_scale_invariance(tmp_path, monkeypatch):
-    monkeypatch.setenv("INNOSEARCH_WORKERS", "2")
+def test_sweep_scale_invariance(tmp_path):
     out = str(tmp_path / "run")
     code = main(["sweep", "--param", "scale", "--values", "1,10", "--out", out])
     assert code == EXIT_OK
@@ -199,6 +200,15 @@ def test_sweep_scale_invariance(tmp_path, monkeypatch):
         base[cols.index("first_boundary")], abs=1e-8
     )
     assert scaled[cols.index("j_star")] == pytest.approx(base[cols.index("j_star")], abs=1e-12)
+
+
+def test_sweep_count_takes_float_spelling(tmp_path):
+    out = str(tmp_path / "run")
+    argv = ["sweep", "--param", "v", "--start", "1", "--stop", "2", "--count", "1e1"]
+    assert main(argv + ["--grid-size", "64", "--horizon", "5", "--out", out]) == EXIT_OK
+    data = read_json(out, "sweep")
+    assert len(data["rows"]) == 10
+    assert [r[data["columns"].index("status")] for r in data["rows"]] == ["ok"] * 10
 
 
 def test_sweep_reports_total_failure(tmp_path, capsys):

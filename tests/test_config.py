@@ -107,12 +107,13 @@ def test_sweep_spec_rejects_bad_shapes():
         SweepSpec("q", [0.5])
     with pytest.raises(ConfigError, match="at least one value"):
         SweepSpec("p", [])
-    with pytest.raises(ConfigError, match=r"need \(0, 1\)"):
-        SweepSpec("delta", [0.5, 1.0])
-    with pytest.raises(ConfigError, match="need > 0"):
-        SweepSpec("scale", [1.0, 0.0])
-    with pytest.raises(ConfigError, match="need >= 0"):
-        SweepSpec("c0", [-0.1])
+    base = RunConfig().validated()
+    with pytest.raises(ConfigError, match=r"sweep delta = 1.0: delta must lie in \(0, 1\)"):
+        SweepSpec("delta", [0.5, 1.0]).apply(base, 1.0)
+    with pytest.raises(ConfigError, match="sweep scale = 0.0: k must be finite and > 0"):
+        SweepSpec("scale", [1.0, 0.0]).apply(base, 0.0)
+    with pytest.raises(ConfigError, match="sweep c0 = -0.1: c0 must be finite and >= 0"):
+        SweepSpec("c0", [-0.1]).apply(base, -0.1)
 
 
 def test_sweep_apply_sets_one_field():

@@ -80,6 +80,7 @@ def test_chart_is_valid_xml_and_escaped():
     dom = xml.dom.minidom.parseString(svg)
     assert dom.documentElement.tagName == "svg"
     assert "<title> & more" not in svg  # escaped, not raw
+    assert "demo &lt;title&gt; &amp; more" in svg
     assert "demo" in svg
 
 
