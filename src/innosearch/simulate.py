@@ -10,7 +10,8 @@ searcher never observes infeasibility directly.
 Randomness is counter-based (Philox keyed by the seed) so runs are
 reproducible in isolation: run i owns counter block i and reads its two
 uniforms from the first two outputs of that block. The batch path generates
-all blocks in one call and is bit-identical to per-run generation.
+the blocks in consecutive chunks of one stream and is bit-identical to
+per-run generation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import numpy as np
 
 from .model import ArrayLike, ModelParams, cost_integral
 from .solver import FrontierPath
+
+# Runs simulate_batch draws and scores at a time; bounds its working memory.
+CHUNK_RUNS = 2**18
 
 
 @dataclass
@@ -134,25 +138,27 @@ def simulate_path(config: SimConfig, rng: np.random.Generator) -> PathRecord:
 
 
 def simulate_batch(config: SimConfig) -> AggregateStats:
-    """All runs at once; draws are bit-identical to per-run simulate_path calls."""
-    u = (
-        np.random.Generator(np.random.Philox(key=config.seed))
-        .random(4 * config.runs)
-        .reshape(config.runs, 4)[:, :2]
-    )
-    feasible = u[:, 0] < config.params.p
+    """All runs in chunks of CHUNK_RUNS; draws are bit-identical to per-run simulate_path calls."""
+    gen = np.random.Generator(np.random.Philox(key=config.seed))
     disc, cum_cost = _discounted_cell_costs(config)
-    tau = np.where(feasible, _success_period(config, u[:, 1]), 0)
-
-    succeeded = tau > 0
-    payoffs = np.where(
-        succeeded,
-        config.params.v * disc[np.maximum(tau, 1) - 1] - cum_cost[np.maximum(tau, 1) - 1],
-        -cum_cost[-1],
-    )
-
     cap = config.horizon_cap
-    hist = np.bincount(tau[succeeded], minlength=cap + 1)[1:]
+    payoffs = np.empty(config.runs)
+    hist = np.zeros(cap + 1, dtype=np.intp)
+    for lo in range(0, config.runs, CHUNK_RUNS):
+        n = min(CHUNK_RUNS, config.runs - lo)
+        # each run owns one Philox block of four doubles, so chunked draws continue one stream
+        u = gen.random(4 * n).reshape(n, 4)[:, :2]
+        feasible = u[:, 0] < config.params.p
+        tau = np.where(feasible, _success_period(config, u[:, 1]), 0)
+        succeeded = tau > 0
+        payoffs[lo : lo + n] = np.where(
+            succeeded,
+            config.params.v * disc[np.maximum(tau, 1) - 1] - cum_cost[np.maximum(tau, 1) - 1],
+            -cum_cost[-1],
+        )
+        hist += np.bincount(tau[succeeded], minlength=cap + 1)
+
+    hist = hist[1:]
     cum_success = np.cumsum(hist)
     active = config.runs - np.concatenate(([0], cum_success[:-1]))
     active_fraction = active / config.runs

@@ -28,10 +28,18 @@ objective computes its row terms once per call, and the bracket is checked
 once per call rather than at every evaluation.
 
 The infinite-horizon problem and its truncated benchmark share one sweep
-loop from W = 0. Value iteration stops when successive sweeps differ by less
-than tol in sup norm, then runs one extra sweep so the returned policy is the
-greedy policy against the returned values; backward induction keeps a fixed
-number of sweeps as its stages.
+loop from W = 0. Value iteration is modified policy iteration (Puterman and
+Shin 1978): each greedy sweep that still changes the values by tol or more
+is followed by EVAL_STEPS evaluation steps W <- R + D * W(policy) at that
+sweep's policy, each one stencil evaluation over the grid with no
+maximization. From W = 0 the greedy sweep raises W, so the iterates lie
+between plain value iteration's and the grid fixed point (Puterman 1994,
+Thm 6.5.5) and never need more greedy sweeps; near delta = 1 they need far
+fewer. It stops when a greedy sweep changes the values by less than tol in
+sup norm, then runs one extra greedy sweep so the returned policy is the
+greedy policy against the returned values. Backward induction takes no
+evaluation steps: its stages are pure Bellman sweeps, the exact
+truncated-horizon values.
 
 Path extraction in both re-maximizes at the exact state each period. The
 policy is a deterministic function of the state and the path is
@@ -68,6 +76,8 @@ _INVPHI2 = 1.0 - _INVPHI
 COARSE_POINTS = 64
 # Golden-section refinement runs until every row's bracket is narrower than this.
 INNER_TOL = 1e-10
+# Policy evaluation steps value iteration runs after each greedy sweep that has not yet reached tol.
+EVAL_STEPS = 20
 
 # An increment is reported as active when it exceeds
 # max(ACTIVITY_FLOOR, cell * ACTIVITY_CELL_FRACTION); below that the step is
@@ -249,24 +259,35 @@ def _interp_at_stencil(j: np.ndarray, t: np.ndarray, nodes: np.ndarray, values: 
     return out
 
 
-def _coarse_terms(
-    params: ModelParams, l: np.ndarray, cap: float, nodes: np.ndarray
+def _objective_terms(
+    params: ModelParams, l: np.ndarray, X: np.ndarray, nodes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The value-free parts (j, t, R, D) of the coarse scan of each row of l.
+    """The value-free parts (j, t, R, D) of the Bellman objective of rows l at next frontiers X.
 
-    The candidates X of row i span [l_i, cap] in COARSE_POINTS even steps;
-    (j, t) is their interpolation stencil and R, D are _rhs_terms at X. X
-    itself is not kept: _coarse_candidates rebuilds any candidate bitwise.
+    (j, t) is the interpolation stencil of X and R, D are _rhs_terms at X.
     """
-    rows = l[:, None]
-    X = _coarse_candidates(rows, cap, np.arange(COARSE_POINTS))
     # the stencil after R and D, so it is not held while cost_integral's temporaries (the peak) are
-    R, D = _rhs_terms(params, rows, X, 1.0 - rows * params.p, cost_integral(params.cost, rows, X))
+    R, D = _rhs_terms(params, l, X, 1.0 - l * params.p, cost_integral(params.cost, l, X))
     return (*_interp_stencil(nodes, X), R, D)
 
 
+def _coarse_terms(
+    params: ModelParams, l: np.ndarray, cap: float, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The _objective_terms of the coarse scan of each row of l.
+
+    The candidates X of row i span [l_i, cap] in COARSE_POINTS even steps. X
+    itself is not kept: _coarse_candidates rebuilds any candidate bitwise.
+    """
+    rows = l[:, None]
+    return _objective_terms(params, rows, _coarse_candidates(rows, cap, np.arange(COARSE_POINTS)), nodes)
+
+
 def _coarse_objective(terms, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The coarse scan's objective R + D * W(X), built in place from the stencil."""
+    """The objective R + D * W(X) at the next frontiers X of terms, built in place from the stencil.
+
+    terms is _objective_terms at the coarse scan's candidates or at a policy.
+    """
     j, t, R, D = terms
     F = _interp_at_stencil(j, t, nodes, values)
     F *= D
@@ -344,13 +365,17 @@ def _step(params: ModelParams, cap: float, nodes: np.ndarray, values: np.ndarray
 
 
 def _bellman_sweeps(
-    params: ModelParams, config: SolverConfig
+    params: ModelParams, config: SolverConfig, eval_steps: int
 ) -> Tuple[float, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray, float]]]:
     """The state grid and an endless run of Bellman sweeps on it from W = 0.
 
     Returns (cap, nodes, sweeps); each item of sweeps is the greedy policy,
     the new values and their sup-norm change from the previous values.
-    Raises ValueError up front when searching is not worthwhile.
+    After a sweep whose change is at least config.tol, eval_steps policy
+    evaluation steps W <- R + D * W(policy) at its policy move the values
+    on before the next sweep; with eval_steps = 0 the sweeps are pure
+    Bellman sweeps. Raises ValueError up front when searching is not
+    worthwhile.
     """
     if not feasible_to_search(params):
         raise ValueError("searching is not worthwhile: p v <= c(0)")
@@ -362,23 +387,31 @@ def _bellman_sweeps(
         values = np.zeros(config.grid_size)
         while True:
             policy, new_values = _maximize_rows(params, nodes, cap, nodes, values, terms)
-            yield policy, new_values, float(np.max(np.abs(new_values - values)))
+            diff = float(np.max(np.abs(new_values - values)))
+            yield policy, new_values, diff
             values = new_values
+            if eval_steps and diff >= config.tol:
+                policy_terms = _objective_terms(params, nodes, policy, nodes)
+                for _ in range(eval_steps):
+                    values = _coarse_objective(policy_terms, nodes, values)
 
     return cap, nodes, sweeps()
 
 
 def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) -> ValueSolution:
-    """Solve the infinite-horizon problem by value iteration from W = 0.
+    """Solve the infinite-horizon problem by modified policy iteration from W = 0.
 
-    Sweeps until the sup-norm change drops below config.tol, then performs
-    one extra sweep so the returned policy is greedy against the returned
-    values (their Bellman residual is then below delta * tol). Raises
-    ConvergenceError when max_iters sweeps are not enough; the error carries
-    the sup-norm history for diagnostics.
+    Each greedy (Bellman) sweep whose sup-norm change is still at least
+    config.tol is followed by EVAL_STEPS cheap evaluation steps at its
+    policy. Once a greedy sweep changes the values by less than config.tol,
+    one extra greedy sweep makes the returned policy greedy against the
+    returned values (their Bellman residual is then below delta * tol).
+    iterations and sup_norm_history count greedy sweeps only. Raises
+    ConvergenceError when max_iters greedy sweeps are not enough; the error
+    carries the sup-norm history for diagnostics.
     """
     config = config or SolverConfig()
-    cap, nodes, sweeps = _bellman_sweeps(params, config)
+    cap, nodes, sweeps = _bellman_sweeps(params, config, EVAL_STEPS)
     history: List[float] = []
     for _, _, diff in itertools.islice(sweeps, config.max_iters):
         history.append(diff)
@@ -439,7 +472,7 @@ def backward_induction(
     config = config or SolverConfig()
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    cap, nodes, sweeps = _bellman_sweeps(params, config)
+    cap, nodes, sweeps = _bellman_sweeps(params, config, 0)
     stage_values = [np.zeros(config.grid_size)]
     history: List[float] = []
     for policy, values, diff in itertools.islice(sweeps, truncation):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from innosearch import (
     cost_integral,
     simulate_batch,
 )
+from innosearch import simulate
 from innosearch.simulate import (
     active_probability_analytic,
     simulate_path,
@@ -66,6 +69,17 @@ def test_batch_determinism():
     assert a.mean_discounted_payoff == b.mean_discounted_payoff
     other = simulate_batch(tiny_config(runs=500, seed=405))
     assert other.mean_discounted_payoff != a.mean_discounted_payoff
+
+
+def test_chunked_batch_is_bit_identical(monkeypatch):
+    # 100 runs in one chunk against chunks of 7, the last one short
+    config = tiny_config(runs=100)
+    whole = simulate_batch(config)
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 7)
+    chunked = simulate_batch(config)
+    for f in dataclasses.fields(whole):
+        a, b = np.asarray(getattr(whole, f.name)), np.asarray(getattr(chunked, f.name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
 
 def test_active_fraction_shape():
