@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .model import (
     BISECT_EDGE,
-    BISECT_TOL,
     CostFamily,
     CostModel,
     ModelParams,
@@ -67,7 +66,6 @@ from .config import ConfigError, RunConfig, SweepSpec, load_run_config, parse_co
 __all__ = [
     "__version__",
     "BISECT_EDGE",
-    "BISECT_TOL",
     "CostFamily",
     "CostModel",
     "ModelParams",

@@ -12,7 +12,8 @@ once, filling in the command's default horizon, before calling the
 command's handler. Tables are written as CSV with a JSON twin holding the
 same rows; --format svg adds charts. Exit codes: 0 success (including
 the legitimate no-search verdict), 2 configuration or validation error,
-3 solver did not converge, 4 enumeration budget exceeded.
+3 solver did not converge, 4 enumeration budget exceeded. A sweep exits 0
+unless every point failed; then 3 if each failed to converge, 2 otherwise.
 
 A sweep is a list of run configs, one per sweep value, each validated before
 any is solved. They fan out over a process pool with one worker per CPU the
@@ -87,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--c0", help="marginal cost intercept")
     ov.add_argument("--k", help="marginal cost slope parameter")
     ov.add_argument("--grid-size", dest="grid_size")
-    ov.add_argument("--tol", help="sup-norm convergence tolerance")
-    ov.add_argument("--max-iters", dest="max_iters")
     ov.add_argument("--runs", help="Monte Carlo run count")
     ov.add_argument("--horizon", help="periods: path length (solve, sweep), cap (simulate), T (oracle)")
     ov.add_argument("--seed", help="64-bit simulation seed")
@@ -195,9 +194,7 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
             "first_boundary": float(path.boundaries[1]),
             "iterations": sol.iterations,
             "last_sup_norm_change": sol.sup_norm_history[-1],
-            "converged": True,  # failure raises ConvergenceError
             "grid_size": rc.grid_size,
-            "tol": rc.tol,
             "horizon": rc.horizon,
             "activity_threshold": threshold,
             "active_periods": activity.active_count,
@@ -429,14 +426,16 @@ def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
             )
             write_svg(rc.out, "sweep", chart)
 
-    failed = sum(1 for r in results if r["status"] == "error")
-    for r in results:
-        if r["status"] == "error":
-            print(f"sweep {spec.parameter} = {r['value']}: {r['error']}", file=sys.stderr)
-    print(f"swept {spec.parameter} over {len(results)} value(s), {failed} failure(s)")
-    if failed == len(results):
+    failed = [r for r in results if r["status"] == "error"]
+    for r in failed:
+        print(f"sweep {spec.parameter} = {r['value']}: {r['error']}", file=sys.stderr)
+    print(f"swept {spec.parameter} over {len(results)} value(s), {len(failed)} failure(s)")
+    if len(failed) < len(results):
+        return EXIT_OK
+    # _sweep_worker spells each error "<exception type>: <message>"
+    if all(r["error"].startswith(f"{ConvergenceError.__name__}:") for r in failed):
         return EXIT_CONVERGENCE
-    return EXIT_OK
+    return EXIT_CONFIG
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -40,8 +40,6 @@ class RunConfig:
     k: float = 1.0
     # solver
     grid_size: int = 2048
-    tol: float = 1e-9
-    max_iters: int = 100_000
     # simulation
     runs: int = 100_000
     seed: int = 12345
@@ -65,11 +63,7 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         try:
-            return SolverConfig(
-                grid_size=self.grid_size,
-                tol=self.tol,
-                max_iters=self.max_iters,
-            )
+            return SolverConfig(grid_size=self.grid_size)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -169,10 +163,9 @@ SWEEP_PARAMETERS = ("p", "v", "delta", "c0", "k", "scale")
 class SweepSpec:
     """One-dimensional parameter sweep.
 
-    `scale` multiplies v, c0, and k jointly, and scales the solver tolerance
-    with them: tol is an absolute quantity in value units, so holding it fixed
-    would solve larger instances to a worse relative accuracy and break the
-    exact-homogeneity comparison the sweep exists to demonstrate.
+    `scale` multiplies v, c0, and k jointly. The solver's stopping threshold
+    is relative to p v, so a scaled instance takes the same sweeps and its W
+    scales with it, which is the homogeneity the sweep exists to demonstrate.
     """
 
     parameter: str
@@ -218,7 +211,6 @@ class SweepSpec:
             variant.v = base.v * value
             variant.c0 = base.c0 * value
             variant.k = base.k * value
-            variant.tol = base.tol * value
         else:
             setattr(variant, self.parameter, value)
         try:

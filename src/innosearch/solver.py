@@ -29,17 +29,18 @@ once per call rather than at every evaluation.
 
 The infinite-horizon problem and its truncated benchmark share one sweep
 loop from W = 0. Value iteration is modified policy iteration (Puterman and
-Shin 1978): each greedy sweep that still changes the values by tol or more
-is followed by EVAL_STEPS evaluation steps W <- R + D * W(policy) at that
-sweep's policy, each one stencil evaluation over the grid with no
+Shin 1978): each greedy sweep that still changes the values by TOL * p v or
+more is followed by EVAL_STEPS evaluation steps W <- R + D * W(policy) at
+that sweep's policy, each one stencil evaluation over the grid with no
 maximization. From W = 0 the greedy sweep raises W, so the iterates lie
 between plain value iteration's and the grid fixed point (Puterman 1994,
 Thm 6.5.5) and never need more greedy sweeps; near delta = 1 they need far
-fewer. It stops when a greedy sweep changes the values by less than tol in
-sup norm, then runs one extra greedy sweep so the returned policy is the
-greedy policy against the returned values. Backward induction takes no
-evaluation steps: its stages are pure Bellman sweeps, the exact
-truncated-horizon values.
+fewer. It stops when a greedy sweep changes the values by less than
+TOL * p v in sup norm, then runs one extra greedy sweep so the returned
+policy is greedy against the returned values. p v bounds W from above, so
+the rule is relative: scaling v and the cost jointly takes the same sweeps.
+Backward induction takes no evaluation steps: its stages are pure Bellman
+sweeps, the exact truncated-horizon values.
 
 Path extraction in both re-maximizes at the exact state each period. The
 policy is a deterministic function of the state and the path is
@@ -57,7 +58,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (
-    BISECT_TOL,
     ArrayLike,
     ModelParams,
     _antiderivative_term,
@@ -76,8 +76,12 @@ _INVPHI2 = 1.0 - _INVPHI
 COARSE_POINTS = 64
 # Golden-section refinement runs until every row's bracket is narrower than this.
 INNER_TOL = 1e-10
-# Policy evaluation steps value iteration runs after each greedy sweep that has not yet reached tol.
+# Policy evaluation steps value iteration runs after each greedy sweep still above the threshold.
 EVAL_STEPS = 20
+# Value iteration stops once a greedy sweep changes the values by less than TOL * p v in sup norm.
+TOL = 1e-9
+# Greedy sweeps value iteration runs before it gives up with ConvergenceError.
+MAX_SWEEPS = 100_000
 
 # An increment is reported as active when it exceeds
 # max(ACTIVITY_FLOOR, cell * ACTIVITY_CELL_FRACTION); below that the step is
@@ -87,7 +91,7 @@ ACTIVITY_CELL_FRACTION = 1e-3
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration ran out of sweeps before reaching tol."""
+    """Value iteration ran out of sweeps before reaching its stopping threshold."""
 
     def __init__(self, message: str, history: Sequence[float]):
         super().__init__(message)
@@ -97,16 +101,10 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     grid_size: int = 2048
-    tol: float = 1e-9
-    max_iters: int = 100_000
 
     def __post_init__(self):
         if self.grid_size < 64:
             raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -364,6 +362,11 @@ def _step(params: ModelParams, cap: float, nodes: np.ndarray, values: np.ndarray
     return float(min(max(arg[0], l), cap))
 
 
+def _stop_threshold(params: ModelParams) -> float:
+    """Sup-norm change TOL * p v below which value iteration stops; p v bounds W from above."""
+    return TOL * params.p * params.v
+
+
 def _bellman_sweeps(
     params: ModelParams, config: SolverConfig, eval_steps: int
 ) -> Tuple[float, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray, float]]]:
@@ -371,7 +374,7 @@ def _bellman_sweeps(
 
     Returns (cap, nodes, sweeps); each item of sweeps is the greedy policy,
     the new values and their sup-norm change from the previous values.
-    After a sweep whose change is at least config.tol, eval_steps policy
+    After a sweep whose change is at least _stop_threshold, eval_steps policy
     evaluation steps W <- R + D * W(policy) at its policy move the values
     on before the next sweep; with eval_steps = 0 the sweeps are pure
     Bellman sweeps. Raises ValueError up front when searching is not
@@ -382,6 +385,7 @@ def _bellman_sweeps(
     cap = search_upper_bound(params)
     nodes = np.linspace(0.0, cap, config.grid_size)
     terms = _coarse_terms(params, nodes, cap, nodes)
+    threshold = _stop_threshold(params)
 
     def sweeps():
         values = np.zeros(config.grid_size)
@@ -390,7 +394,7 @@ def _bellman_sweeps(
             diff = float(np.max(np.abs(new_values - values)))
             yield policy, new_values, diff
             values = new_values
-            if eval_steps and diff >= config.tol:
+            if eval_steps and diff >= threshold:
                 policy_terms = _objective_terms(params, nodes, policy, nodes)
                 for _ in range(eval_steps):
                     values = _coarse_objective(policy_terms, nodes, values)
@@ -401,26 +405,28 @@ def _bellman_sweeps(
 def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) -> ValueSolution:
     """Solve the infinite-horizon problem by modified policy iteration from W = 0.
 
-    Each greedy (Bellman) sweep whose sup-norm change is still at least
-    config.tol is followed by EVAL_STEPS cheap evaluation steps at its
-    policy. Once a greedy sweep changes the values by less than config.tol,
-    one extra greedy sweep makes the returned policy greedy against the
-    returned values (their Bellman residual is then below delta * tol).
-    iterations and sup_norm_history count greedy sweeps only. Raises
-    ConvergenceError when max_iters greedy sweeps are not enough; the error
-    carries the sup-norm history for diagnostics.
+    Each greedy (Bellman) sweep whose sup-norm change is still at least the
+    threshold TOL * p v (p v bounds W from above) is followed by EVAL_STEPS
+    cheap evaluation steps at its policy. Once a greedy sweep changes the
+    values by less than the threshold, one extra greedy sweep makes the
+    returned policy greedy against the returned values (their Bellman
+    residual is then below delta times the threshold). iterations and
+    sup_norm_history count greedy sweeps only. Raises ConvergenceError when
+    MAX_SWEEPS greedy sweeps are not enough; the error carries the sup-norm
+    history for diagnostics.
     """
     config = config or SolverConfig()
     cap, nodes, sweeps = _bellman_sweeps(params, config, EVAL_STEPS)
+    threshold = _stop_threshold(params)
     history: List[float] = []
-    for _, _, diff in itertools.islice(sweeps, config.max_iters):
+    for _, _, diff in itertools.islice(sweeps, MAX_SWEEPS):
         history.append(diff)
-        if diff < config.tol:
+        if diff < threshold:
             break
     else:
         raise ConvergenceError(
-            f"no convergence after {config.max_iters} sweeps: "
-            f"last sup-norm change {history[-1]:.3e} vs tol {config.tol:.3e}",
+            f"no convergence after {MAX_SWEEPS} sweeps: "
+            f"last sup-norm change {history[-1]:.3e} vs threshold {threshold:.3e}",
             history,
         )
     policy, values, diff = next(sweeps)
@@ -456,7 +462,7 @@ def final_stage_boundary(params: ModelParams, l_prev: float, cap: Optional[float
     f = lambda x: cost_density(params.cost, x) - target
     if f(cap) <= 0.0:
         return cap
-    return _bisect_increasing(f, l_prev, cap, BISECT_TOL)
+    return _bisect_increasing(f, l_prev, cap)
 
 
 def backward_induction(

@@ -27,7 +27,7 @@ def log_params():
 
 @pytest.fixture(scope="session")
 def base_solution(base_params):
-    return value_iteration(base_params, SolverConfig(grid_size=2048, tol=1e-9))
+    return value_iteration(base_params, SolverConfig(grid_size=2048))
 
 
 @pytest.fixture(scope="session")

@@ -34,8 +34,9 @@ from innosearch import (
     structure_check,
     value_iteration,
 )
+from innosearch.solver import TOL
 
-SOLVER = SolverConfig(grid_size=2048, tol=1e-9)
+SOLVER = SolverConfig(grid_size=2048)
 
 
 def report(capsys, number, failures, detail):
@@ -282,8 +283,8 @@ def test_acceptance_7_numerical_hygiene(capsys, base_params, base_solution, base
         base_params, base_solution.nodes, base_solution.policy, base_solution.value_at
     )
     resid = float(np.max(np.abs(rhs - base_solution.values)))
-    if resid > 10.0 * SOLVER.tol:
-        failures.append(f"Bellman residual {resid:.2e} above 10 tol")
+    if resid > 10.0 * TOL * base_params.p * base_params.v:
+        failures.append(f"Bellman residual {resid:.2e} above 10 TOL p v")
 
     euler_worst = 0.0
     for l in [float(base_path.boundaries[t]) for t in (0, 1, 2, 5)]:
@@ -294,14 +295,14 @@ def test_acceptance_7_numerical_hygiene(capsys, base_params, base_solution, base
         failures.append(f"Euler residual {euler_worst:.2e} at an interior node")
 
     lam = 10.0
-    lo = value_iteration(base_params, SolverConfig(grid_size=2048, tol=1e-12))
+    lo = base_solution
     scaled = ModelParams(
         base_params.p,
         base_params.v * lam,
         base_params.delta,
         CostModel(base_params.cost.family, base_params.cost.c0 * lam, base_params.cost.k * lam),
     )
-    hi = value_iteration(scaled, SolverConfig(grid_size=2048, tol=1e-11))
+    hi = value_iteration(scaled, SOLVER)
     ratio = float(hi.values[0] / lo.values[0])
     if abs(ratio - lam) > 1e-8:
         failures.append(f"value ratio {ratio!r} not {lam} under scaling")

@@ -6,6 +6,7 @@ import xml.dom.minidom
 
 import pytest
 
+from innosearch import solver
 from innosearch.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, build_parser, main
 from innosearch.config import RunConfig
 
@@ -32,7 +33,7 @@ def test_solve_default_instance(tmp_path, capsys):
 
     summary = read_json(out, "summary")
     assert summary["searched"] is True
-    assert summary["converged"] is True
+    assert "tol" not in summary and "converged" not in summary
     assert summary["value_at_zero"] == pytest.approx(0.3293771377650821, abs=1e-9)
     assert summary["q_star"] == pytest.approx(0.5, abs=1e-12)
     assert summary["j_star"] == pytest.approx(2.0 - 2.0**0.5, abs=1e-10)
@@ -211,11 +212,11 @@ def test_sweep_count_takes_float_spelling(tmp_path):
     assert [r[data["columns"].index("status")] for r in data["rows"]] == ["ok"] * 10
 
 
-def test_sweep_reports_total_failure(tmp_path, capsys):
+def test_sweep_reports_total_failure(tmp_path, capsys, monkeypatch):
+    # a one-value sweep runs in this process, so the patch reaches its solve
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
     out = str(tmp_path / "run")
-    code = main(
-        ["sweep", "--param", "v", "--values", "2", "--max-iters", "2", "--out", out]
-    )
+    code = main(["sweep", "--param", "v", "--values", "2", "--out", out])
     assert code == EXIT_CONVERGENCE
     captured = capsys.readouterr()
     assert "1 failure(s)" in captured.out
@@ -251,11 +252,26 @@ def test_integer_flag_takes_float_spelling(tmp_path):
     assert len(payload["schedule"]) == 10
 
 
-def test_inner_tol_is_not_a_setting(tmp_path, capsys):
+def test_sweep_total_domain_failure_is_config_error(tmp_path, capsys):
+    # every point fails with a ValueError, as solve on this instance does: exit 2, not 3
+    out = str(tmp_path / "run")
+    argv = ["sweep", "--param", "v", "--values", "50", "--p", "0.95", "--cost-family", "logarithmic"]
+    assert main(argv + ["--out", out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "1 failure(s)" in captured.out
+    assert "ValueError" in captured.err
+    assert main(["solve", "--v", "50", "--p", "0.95", "--cost-family", "logarithmic", "--out", out]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key", ["inner_tol", "tol", "max_iters"])
+def test_inner_tol_is_not_a_setting(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("inner_tol = 1e-8\n", encoding="utf-8")
+    cfg.write_text(f"{key} = 1e-8\n", encoding="utf-8")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
-    assert "unknown key 'inner_tol'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--" + key.replace("_", "-"), "1e-8", "--out", str(tmp_path / "run")])
+    assert err.value.code == EXIT_CONFIG
 
 
 def test_sweep_honours_horizon(tmp_path):

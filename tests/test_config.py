@@ -125,12 +125,10 @@ def test_sweep_apply_sets_one_field():
 
 
 def test_sweep_scale_multiplies_value_units():
-    base = RunConfig(c0=0.1, k=1.5, tol=1e-9).validated()
+    base = RunConfig(c0=0.1, k=1.5).validated()
     variant = SweepSpec("scale", [10.0]).apply(base, 10.0)
     assert variant.v == pytest.approx(base.v * 10, rel=0, abs=0)
     assert variant.c0 == pytest.approx(1.0, abs=1e-15)
     assert variant.k == pytest.approx(15.0, abs=1e-14)
-    # tol is absolute in value units, so it must scale with the instance
-    assert variant.tol == pytest.approx(1e-8, rel=1e-12)
     assert variant.p == base.p
     assert variant.delta == base.delta

@@ -23,9 +23,11 @@ from innosearch import (
     search_upper_bound,
     value_iteration,
 )
+from innosearch import solver
 from innosearch.model import cost_density
 from innosearch.solver import (
     COARSE_POINTS,
+    TOL,
     ValueSolution,
     _coarse_candidates,
     _coarse_objective,
@@ -36,7 +38,7 @@ from innosearch.solver import (
     _row_objective,
 )
 
-# frozen canonical results at grid 2048, tol 1e-9 (see conftest for the instance)
+# frozen canonical results at grid 2048 (see conftest for the instance)
 W0_CANONICAL = 0.3293771377650821
 L1_CANONICAL = 0.35126426490956847
 # p l v - C(0, l) at l = 1/2: 1/2 - (ln 2 - 1/2) = 1 - ln 2
@@ -141,24 +143,27 @@ def test_contraction_history(base_solution):
 def test_bellman_residual_everywhere(base_solution):
     sol = base_solution
     rhs = bellman_rhs(sol.params, sol.nodes, sol.policy, sol.value_at)
-    assert np.max(np.abs(rhs - sol.values)) <= 10.0 * sol.config.tol
+    assert np.max(np.abs(rhs - sol.values)) <= 10.0 * TOL * sol.params.p * sol.params.v
 
 
-def test_runs_out_of_sweeps(base_params):
+def test_runs_out_of_sweeps(base_params, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 3)
     with pytest.raises(ConvergenceError) as err:
-        value_iteration(base_params, SolverConfig(max_iters=3))
+        value_iteration(base_params)
     assert len(err.value.history) == 3
 
 
-def test_max_iters_boundary(base_params, base_solution):
-    # k sweeps reach tol, so max_iters = k converges (plus the greedy sweep)
-    # and max_iters = k - 1 runs out one sweep short
-    config = base_solution.config
-    k = next(i + 1 for i, d in enumerate(base_solution.sup_norm_history) if d < config.tol)
-    sol = value_iteration(base_params, dataclasses.replace(config, max_iters=k))
+def test_max_iters_boundary(base_params, base_solution, monkeypatch):
+    # k sweeps reach the threshold, so MAX_SWEEPS = k converges (plus the
+    # greedy sweep) and MAX_SWEEPS = k - 1 runs out one sweep short
+    threshold = TOL * base_params.p * base_params.v
+    k = next(i + 1 for i, d in enumerate(base_solution.sup_norm_history) if d < threshold)
+    monkeypatch.setattr(solver, "MAX_SWEEPS", k)
+    sol = value_iteration(base_params, base_solution.config)
     assert sol.iterations == k + 1
+    monkeypatch.setattr(solver, "MAX_SWEEPS", k - 1)
     with pytest.raises(ConvergenceError) as err:
-        value_iteration(base_params, dataclasses.replace(config, max_iters=k - 1))
+        value_iteration(base_params, base_solution.config)
     assert len(err.value.history) == k - 1
 
 
@@ -176,21 +181,29 @@ def test_scale_invariance(base_params):
         base_params.delta,
         CostModel.reciprocal(base_params.cost.c0 * lam, base_params.cost.k * lam),
     )
-    cfg = SolverConfig(grid_size=2048, tol=1e-12)
-    cfg_scaled = SolverConfig(grid_size=2048, tol=1e-12 * lam)
+    cfg = SolverConfig(grid_size=2048)
     sol = value_iteration(base_params, cfg)
-    sol_scaled = value_iteration(scaled, cfg_scaled)
+    sol_scaled = value_iteration(scaled, cfg)
     assert sol_scaled.values[0] / sol.values[0] == pytest.approx(lam, abs=1e-8)
     assert np.max(np.abs(sol_scaled.policy - sol.policy)) < sol.cell
+
+
+@pytest.mark.parametrize("lam", [1e-3, 10.0, 1e3])
+def test_scaled_instance_takes_same_sweeps(lam, base_params, base_solution):
+    # the threshold scales with p v, so the scaled solve stops at the same sweep (measured
+    # relative ratio error <= 2.2e-16; a fixed threshold took 6, 9 and 9 sweeps against 8)
+    cost = base_params.cost
+    scaled = dataclasses.replace(
+        base_params, v=base_params.v * lam, cost=CostModel(cost.family, cost.c0 * lam, cost.k * lam)
+    )
+    sol = value_iteration(scaled)
+    assert sol.iterations == base_solution.iterations
+    assert sol.values[0] / base_solution.values[0] == pytest.approx(lam, rel=1e-13, abs=0)
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid_size=32)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
 
 
 # ------------------------------------------------------- truncated horizon
