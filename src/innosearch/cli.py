@@ -12,8 +12,10 @@ once, filling in the command's default horizon, before calling the
 command's handler. Tables are written as CSV with a JSON twin holding the
 same rows; --format svg adds charts. Exit codes: 0 success (including
 the legitimate no-search verdict), 2 configuration or validation error,
-3 solver did not converge, 4 enumeration budget exceeded. A sweep exits 0
-unless every point failed; then 3 if each failed to converge, 2 otherwise.
+3 solver did not converge, 4 enumeration budget exceeded, 5 a valid
+instance outside the solver's range. A sweep exits 0 unless every point
+failed; then 3 if each failed to converge, 5 if each was out of range, 2
+otherwise.
 
 A sweep is a list of run configs, one per sweep value, each validated before
 any is solved. They fan out over a process pool with one worker per CPU the
@@ -36,6 +38,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, SweepSpec, load_run_config
 from .model import (
+    OutOfRangeError,
     cost_integral,
     feasible_to_search,
     myopic_boundary,
@@ -64,6 +67,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_BUDGET = 4
+EXIT_OUT_OF_RANGE = 5
 
 # Periods when no horizon is given: path length (solve, sweep), censoring
 # cap (simulate), number of periods (oracle).
@@ -433,8 +437,9 @@ def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
     if len(failed) < len(results):
         return EXIT_OK
     # _sweep_worker spells each error "<exception type>: <message>"
-    if all(r["error"].startswith(f"{ConvergenceError.__name__}:") for r in failed):
-        return EXIT_CONVERGENCE
+    for error, code in ((ConvergenceError, EXIT_CONVERGENCE), (OutOfRangeError, EXIT_OUT_OF_RANGE)):
+        if all(r["error"].startswith(f"{error.__name__}:") for r in failed):
+            return code
     return EXIT_CONFIG
 
 
@@ -462,6 +467,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConvergenceError as e:
         print(f"solver failed: {e}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except OutOfRangeError as e:
+        print(f"out of range: {e}", file=sys.stderr)
+        return EXIT_OUT_OF_RANGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

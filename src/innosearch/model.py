@@ -40,6 +40,10 @@ BISECT_EDGE = 1e-12
 BISECT_TOL = 1e-12
 
 
+class OutOfRangeError(ValueError):
+    """A valid instance whose solution lies outside the range the solver can represent."""
+
+
 class CostFamily(str, Enum):
     RECIPROCAL = "reciprocal"
     LOGARITHMIC = "logarithmic"
@@ -131,6 +135,16 @@ def _antiderivative_term(cost: CostModel, x: np.ndarray) -> np.ndarray:
     return (1.0 - x) * np.log1p(-x)
 
 
+def _density_slope(cost: CostModel, x: np.ndarray) -> np.ndarray:
+    """The derivative c'(x) of the marginal cost, unchecked: callers guarantee 0 <= x < 1.
+
+    k / (1 - x)^2 for the reciprocal family, k / (1 - x) for the logarithmic one.
+    """
+    if cost.family is CostFamily.RECIPROCAL:
+        return cost.k / (1.0 - x) ** 2
+    return cost.k / (1.0 - x)
+
+
 def _cost_integral_kernel(cost: CostModel, a: np.ndarray, b: np.ndarray, term_a: np.ndarray) -> np.ndarray:
     """cost_integral without its domain check, given term_a = _antiderivative_term(cost, a).
 
@@ -207,15 +221,15 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
 
     A searcher with no continuation extends the frontier until the marginal
     cost eats the marginal expected prize. The root is unique because c is
-    strictly increasing and diverges at 1. Raises ValueError when the root
-    lies above 1 - BISECT_EDGE, where no bracket can reach it.
+    strictly increasing and diverges at 1. Raises OutOfRangeError when the
+    root lies above 1 - BISECT_EDGE, where no bracket can reach it.
     """
     pv = params.p * params.v
     if pv <= params.cost.c0:
         return None
     edge_cost = cost_density(params.cost, 1.0 - BISECT_EDGE)
     if pv > edge_cost:
-        raise ValueError(
+        raise OutOfRangeError(
             f"p v = {pv:g} exceeds c(1 - {BISECT_EDGE:g}) = {edge_cost:g}, the marginal cost at "
             f"the edge of the solver's range: the one-shot boundary q* lies closer to 1 than "
             f"1 - {BISECT_EDGE:g}"

@@ -11,19 +11,26 @@ frontier l'. States above j* = search_upper_bound never pay even without
 discounting, so the grid lives on [0, j*].
 
 Numerics: uniform grid, piecewise-linear interpolation of W between nodes,
-and per-node maximization by a coarse scan over COARSE_POINTS evenly spaced
-candidates followed by golden-section refinement of the bracket around the
-best candidate to a width below INNER_TOL. Everything is vectorized across
-nodes. Tie-breaking is deterministic and favors the smallest maximizer: the
-coarse scan takes the first maximum and golden-section comparisons keep the
-left interval on equal values.
+and per-node maximization in two stages, vectorized across nodes. A coarse
+scan over COARSE_POINTS evenly spaced candidates brackets each maximizer,
+and golden-section narrows the bracket only until it is at most one grid
+cell wide. Inside a cell W is linear, so the objective is smooth there with
+closed-form first and second derivatives; it is convex and then concave,
+and a few Newton steps on its derivative, from the right end of each of
+the bracket's at most two pieces, find the bracket's maximum (Judd 1998,
+Numerical Methods in Economics, ch. 10). The maximizer is the best of
+those points, the golden-section points and the coarse candidate, with
+exact ties going to the smallest frontier. It is exact over the final
+bracket. Which bracket golden-section ends in is decided by comparisons of
+the piecewise objective, whose kinks at the nodes can make it settle one
+cell away from the row's best local maximum.
 
 The coarse scan's objective is R + D * W(l') with the payoff R and the
 discounted survival weight D independent of W. Both are computed once per
 set of rows (the grid for a whole solve, one state for policy_at), together
 with an interpolation stencil: each candidate's node interval and its
 offset in it. A sweep then evaluates W at the candidates with np.interp's
-own formula and no search, bitwise equal to np.interp. The golden-section
+own formula and no search, bitwise equal to np.interp. The refinement's
 objective computes its row terms once per call, and the bracket is checked
 once per call rather than at every evaluation.
 
@@ -63,6 +70,7 @@ from .model import (
     _antiderivative_term,
     _bisect_increasing,
     _cost_integral_kernel,
+    _density_slope,
     cost_density,
     cost_integral,
     feasible_to_search,
@@ -74,8 +82,8 @@ _INVPHI2 = 1.0 - _INVPHI
 
 # Evenly spaced candidates per row in the coarse scan that brackets each maximizer.
 COARSE_POINTS = 64
-# Golden-section refinement runs until every row's bracket is narrower than this.
-INNER_TOL = 1e-10
+# Newton steps on the objective's derivative in each piece of the final one-cell bracket.
+NEWTON_STEPS = 3
 # Policy evaluation steps value iteration runs after each greedy sweep still above the threshold.
 EVAL_STEPS = 20
 # Value iteration stops once a greedy sweep changes the values by less than TOL * p v in sup norm.
@@ -303,14 +311,17 @@ def _maximize_rows(
 ):
     """Maximize the Bellman objective over l' in [l_i, cap] for each row i.
 
-    terms is _coarse_terms(params, l, cap, nodes). Coarse scan over its
-    candidates, then golden-section on the bracket around the best
-    candidate, run for a fixed iteration count so every row's bracket
-    shrinks below INNER_TOL. The bracket is checked once to lie in [l, 1);
-    every golden-section point lies inside it, so the refinement evaluates
-    the objective unchecked. Returns (argmax, max). The coarse candidate is
-    kept when refinement cannot strictly beat it, except that exact ties go
-    to the smaller frontier.
+    terms is _coarse_terms(params, l, cap, nodes). The coarse scan over its
+    candidates brackets each row's maximizer between the best candidate's
+    neighbours. Golden-section narrows every bracket to at most one grid
+    cell, which takes ceil(log(cell / width) / log(1 / phi)) steps for the
+    widest (9 at grid 2048, 12 at 8192), and _bracket_maximizers then
+    locates the exact maximum inside it. The bracket is checked once to lie
+    in [l, 1); every point scored lies inside it or at a coarse candidate,
+    so the objective is evaluated unchecked. Returns (argmax, max): the best
+    of the coarse candidate, the two golden-section points and the two
+    bracket points, exact ties going to the smallest frontier, so the
+    maximum never falls below any of them.
     """
     F = _coarse_objective(terms, nodes, values)
     kbest = np.argmax(F, axis=1)
@@ -318,40 +329,93 @@ def _maximize_rows(
     xc = _coarse_candidates(l, cap, kbest)
     a = _coarse_candidates(l, cap, np.maximum(kbest - 1, 0))
     b = _coarse_candidates(l, cap, np.minimum(kbest + 1, COARSE_POINTS - 1))
+    if np.any(a < l) or np.any(b >= 1.0):
+        raise ValueError("golden-section bracket must satisfy l <= a <= b < 1")
+    objective = _row_objective(params, l, nodes, values)
 
     h = b - a
     hmax = float(np.max(h, initial=0.0))
-    if hmax > INNER_TOL:
-        if np.any(a < l) or np.any(b >= 1.0):
-            raise ValueError("golden-section bracket must satisfy l <= a <= b < 1")
-        objective = _row_objective(params, l, nodes, values)
-        n = int(math.ceil(math.log(INNER_TOL / hmax) / math.log(_INVPHI)))
-        x1 = a + _INVPHI2 * h
-        x2 = a + _INVPHI * h
-        f1 = objective(x1)
-        f2 = objective(x2)
-        for _ in range(n):
-            left = f1 >= f2
-            b = np.where(left, x2, b)
-            a = np.where(left, a, x1)
-            h = b - a
-            xnew = np.where(left, a + _INVPHI2 * h, a + _INVPHI * h)
-            fnew = objective(xnew)
-            x1, x2, f1, f2 = (
-                np.where(left, xnew, x2),
-                np.where(left, x1, xnew),
-                np.where(left, fnew, f2),
-                np.where(left, f1, fnew),
-            )
-        xg = np.where(f1 >= f2, x1, x2)
-        fg = np.maximum(f1, f2)
-    else:
-        xg, fg = xc, fc
+    cell = nodes[1] - nodes[0]
+    n = math.ceil(math.log(cell / hmax) / math.log(_INVPHI)) if hmax > cell else 0
+    x1 = a + _INVPHI2 * h
+    x2 = a + _INVPHI * h
+    f1 = objective(x1)
+    f2 = objective(x2)
+    for _ in range(n):
+        left = f1 >= f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        h = b - a
+        xnew = np.where(left, a + _INVPHI2 * h, a + _INVPHI * h)
+        fnew = objective(xnew)
+        x1, x2, f1, f2 = (
+            np.where(left, xnew, x2),
+            np.where(left, x1, xnew),
+            np.where(left, fnew, f2),
+            np.where(left, f1, fnew),
+        )
 
-    arg = np.where(fg > fc, xg, np.where(fg < fc, xc, np.minimum(xg, xc)))
-    best = np.maximum(fg, fc)
+    arg, best = xc, fc
+    x3, x4 = _bracket_maximizers(params, l, cap, nodes, values, a, b)
+    for x, f in ((x1, f1), (x2, f2), (x3, objective(x3)), (x4, objective(x4))):
+        arg = np.where(f > best, x, np.where(f == best, np.minimum(arg, x), arg))
+        best = np.maximum(best, f)
     # b = l + (cap - l) can round one ulp past cap; keep the policy inside the state space
     return np.minimum(arg, cap), best
+
+
+def _bracket_maximizers(
+    params: ModelParams,
+    l: np.ndarray,
+    cap: float,
+    nodes: np.ndarray,
+    values: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> List[np.ndarray]:
+    """The maximizing point of each of the two pieces of each row's bracket [a, b].
+
+    The bracket is at most one cell wide, so the first node above a cuts it
+    into at most two pieces, each inside one cell k, where
+    W(x) = w_k + s_k (x - n_k) is linear. With denom = 1 - l p the objective
+    f there has
+        f'(x)  = (p v + delta (s_k (1 - p x) - p W(x))) / denom - c(x),
+        f''(x) = -c'(x) - 2 delta p s_k / denom,
+    and since c' and c'' are positive, f is convex, then concave. Newton's
+    method on f' starts at the piece's right end and is clipped to the
+    piece. It runs in the gap coordinate u = -log(1 - x), where f' is
+    concave too when W is nonincreasing and the logarithmic cost's log term
+    is linear, so it also converges in the last cells below j*, where 1 - x
+    can span orders of magnitude. The steps walk monotonically down to the
+    root where f' turns negative, reach the left end when f' < 0 across
+    the piece, and stay at the right end where f' >= 0 or f is convex. So
+    each point is its piece's maximum, except that a convex piece may peak
+    at its left end instead: the node, which the first piece's point then
+    matches or beats, or a, a discarded golden-section point or coarse
+    candidate, which never beats the golden-section points kept.
+    """
+    p, v, delta = params.p, params.v, params.delta
+    denom = 1.0 - l * p
+    slope = np.diff(values) / np.diff(nodes)
+    first = np.minimum(np.searchsorted(nodes, a, "right") - 1, len(nodes) - 2)
+    b = np.minimum(b, cap)
+    mid = np.clip(nodes[first + 1], a, b)
+    points = []
+    for k, lo, hi in ((first, a, mid), (np.minimum(first + 1, len(nodes) - 2), mid, b)):
+        s = slope[k]
+        # f'(x) = lin - bend x - c(x) and f''(x) = -bend - c'(x) inside cell k
+        bend = 2.0 * delta * p * s / denom
+        lin = (p * v + delta * (s - p * (values[k] - s * nodes[k]))) / denom
+        u_lo, u_hi = -np.log1p(-lo), -np.log1p(-hi)
+        u = u_hi
+        for _ in range(NEWTON_STEPS):
+            x = -np.expm1(-u)
+            d1 = lin - bend * x - cost_density(params.cost, x)
+            # the derivative of f' in u: f''(x) dx/du
+            d2 = (-_density_slope(params.cost, x) - bend) * (1.0 - x)
+            u = np.clip(u - np.divide(d1, d2, out=np.zeros_like(u), where=d2 < 0.0), u_lo, u_hi)
+        points.append(np.clip(-np.expm1(-u), lo, hi))
+    return points
 
 
 def _step(params: ModelParams, cap: float, nodes: np.ndarray, values: np.ndarray, l: float) -> float:
@@ -588,9 +652,10 @@ def euler_residual(
 
     The step is half a grid cell. Near zero for interior policies; returns
     None when the policy sits too close to l or the cap for a symmetric
-    difference to fit, in which case the first-order condition does not apply. l_next is the policy's next
-    frontier from l when the caller already has it (a path from
-    frontier_sequence); without it the policy is maximized here.
+    difference to fit, in which case the first-order condition does not
+    apply. l_next is the policy's next frontier from l when the caller
+    already has it (a path from frontier_sequence); without it the policy
+    is maximized here.
     """
     if not (0.0 <= l < solution.cap):
         raise ValueError(f"frontier {l} outside [0, cap)")

@@ -7,7 +7,15 @@ import xml.dom.minidom
 import pytest
 
 from innosearch import solver
-from innosearch.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, build_parser, main
+from innosearch.cli import (
+    EXIT_BUDGET,
+    EXIT_CONFIG,
+    EXIT_CONVERGENCE,
+    EXIT_OK,
+    EXIT_OUT_OF_RANGE,
+    build_parser,
+    main,
+)
 from innosearch.config import RunConfig
 
 
@@ -94,11 +102,15 @@ def test_error_exit_codes(tmp_path, argv, code):
 
 
 def test_one_shot_boundary_beyond_solver_edge(tmp_path, capsys):
+    # a valid instance the solver cannot represent has its own exit code, not "configuration error"
     argv = ["solve", "--p", "0.95", "--v", "50", "--cost-family", "logarithmic"]
-    assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_OUT_OF_RANGE
     err = capsys.readouterr().err
+    assert err.startswith("out of range: ")
     assert "p v = 47.5" in err and "closer to 1" in err
     assert "bisection" not in err
+    # a malformed flag on the same instance is still a configuration error
+    assert main(["solve", "--p", "0.95", "--v", "5O", "--cost-family", "logarithmic"]) == EXIT_CONFIG
 
 
 def test_bad_config_key_reports_location(tmp_path, capsys):
@@ -252,15 +264,18 @@ def test_integer_flag_takes_float_spelling(tmp_path):
     assert len(payload["schedule"]) == 10
 
 
-def test_sweep_total_domain_failure_is_config_error(tmp_path, capsys):
-    # every point fails with a ValueError, as solve on this instance does: exit 2, not 3
+def test_sweep_total_domain_failure_is_out_of_range(tmp_path, capsys):
+    # every point is a valid instance beyond the solver's range: exit 5, as solve on one of them
     out = str(tmp_path / "run")
-    argv = ["sweep", "--param", "v", "--values", "50", "--p", "0.95", "--cost-family", "logarithmic"]
-    assert main(argv + ["--out", out]) == EXIT_CONFIG
+    argv = ["sweep", "--param", "v", "--values", "50,60", "--p", "0.95", "--cost-family", "logarithmic"]
+    assert main(argv + ["--out", out]) == EXIT_OUT_OF_RANGE
     captured = capsys.readouterr()
-    assert "1 failure(s)" in captured.out
-    assert "ValueError" in captured.err
-    assert main(["solve", "--v", "50", "--p", "0.95", "--cost-family", "logarithmic", "--out", out]) == EXIT_CONFIG
+    assert "2 failure(s)" in captured.out
+    assert captured.err.count("OutOfRangeError: ") == 2
+    assert main(["solve", "--v", "50", "--p", "0.95", "--cost-family", "logarithmic", "--out", out]) == EXIT_OUT_OF_RANGE
+    # one point in range: the sweep succeeds and reports the other as an error row
+    assert main(["sweep", "--param", "v", "--values", "2,50", "--p", "0.95", "--cost-family", "logarithmic",
+                 "--grid-size", "64", "--horizon", "5", "--out", out]) == EXIT_OK
 
 
 @pytest.mark.parametrize("key", ["inner_tol", "tol", "max_iters"])

@@ -18,6 +18,7 @@ from innosearch import (
     search_upper_bound,
     success_probability,
 )
+from innosearch.model import OutOfRangeError
 
 REC = CostModel.reciprocal(0.0, 1.0)
 LOG = CostModel.logarithmic(0.0, 1.0)
@@ -228,10 +229,12 @@ def test_myopic_boundary_beyond_solver_edge_is_named():
     inside = params_with(LOG, p=0.95, v=0.999 * edge_cost / 0.95)
     assert 1.0 - 1e-11 < myopic_boundary(inside) <= 1.0 - BISECT_EDGE
     beyond = params_with(LOG, p=0.95, v=50.0)
-    with pytest.raises(ValueError, match="closer to 1") as err:
+    with pytest.raises(OutOfRangeError, match="closer to 1") as err:
         myopic_boundary(beyond)
     assert "p v = 47.5" in str(err.value) and f"{edge_cost:g}" in str(err.value)
-    with pytest.raises(ValueError, match="closer to 1"):
+    # still a ValueError for callers that catch those
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(OutOfRangeError, match="closer to 1"):
         search_upper_bound(beyond)
 
 

@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from innosearch import (
@@ -17,6 +20,7 @@ from innosearch import (
     continuation_inequality_check,
     cost_integral,
     euler_residual,
+    feasible_to_search,
     final_stage_boundary,
     frontier_sequence,
     myopic_boundary,
@@ -27,6 +31,7 @@ from innosearch import solver
 from innosearch.model import cost_density
 from innosearch.solver import (
     COARSE_POINTS,
+    EVAL_STEPS,
     TOL,
     ValueSolution,
     _coarse_candidates,
@@ -510,3 +515,81 @@ def test_euler_residual_rejects_next_frontier_outside_state_space(base_params, b
         euler_residual(base_params, base_solution, 0.2, l_next=0.1)
     with pytest.raises(ValueError):
         euler_residual(base_params, base_solution, 0.2, l_next=base_solution.cap + 1e-6)
+
+
+# ------------------------------------------------ the maximizer's guarantees
+
+
+def _greedy_sweep_values(params, grid):
+    """The grid, and W after 1 and 3 of value iteration's greedy sweeps and at its end."""
+    config = SolverConfig(grid_size=grid)
+    cap, nodes, sweeps = solver._bellman_sweeps(params, config, EVAL_STEPS)
+    first, _, third = (values for _, values, _ in itertools.islice(sweeps, 3))
+    return cap, nodes, [first, third, value_iteration(params, config).values]
+
+
+# (p, v, c0, k): the canonical instance's objective is concave inside every cell it peaks in; on
+# the steep one W falls fast against c', so at delta >= .9 it is convex inside 60-99% of them,
+# and the logarithmic family's j* sits at the solver's edge 1 - 1e-12
+GUARD_INSTANCES = {"canonical": (0.5, 2.0, 0.0, 1.0), "steep": (0.8, 3.0, 0.5, 0.3)}
+
+
+@pytest.mark.parametrize("grid", [128, 512])
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+@pytest.mark.parametrize("delta", [0.5, 0.9, 0.999])
+@pytest.mark.parametrize("instance", sorted(GUARD_INSTANCES))
+def test_maximize_rows_is_exact_over_its_bracket(instance, grid, family, delta, monkeypatch):
+    # golden-section narrows each row to a bracket at most one cell wide; the row's maximum
+    # must be the objective's maximum over that bracket (its node and 64 points across it),
+    # also where the objective is convex inside a cell and peaks at a node or an end
+    p, v, c0, k = GUARD_INSTANCES[instance]
+    if family == "logarithmic" and instance == "canonical":
+        c0 = 0.1  # the logarithmic twin
+    params = ModelParams(p, v, delta, CostModel(family, c0, k))
+    pv = params.p * params.v
+    cap, nodes, value_sets = _greedy_sweep_values(params, grid)
+    terms = _coarse_terms(params, nodes, cap, nodes)
+    brackets = []
+    original = solver._bracket_maximizers
+
+    def recording(params, l, cap, nodes, values, a, b):
+        brackets.append((a, np.minimum(b, cap)))
+        return original(params, l, cap, nodes, values, a, b)
+
+    monkeypatch.setattr(solver, "_bracket_maximizers", recording)
+    for values in value_sets:
+        arg, best = _maximize_rows(params, nodes, cap, nodes, values, terms)
+        a, b = brackets.pop()
+        assert np.all(b - a <= (nodes[1] - nodes[0]) * (1.0 + 1e-9))
+        node = np.clip(nodes[np.minimum(np.searchsorted(nodes, a, "right"), grid - 1)], a, b)
+        objective = _row_objective(params, nodes, nodes, values)
+        dense = np.max([objective(x) for x in [*np.linspace(a, b, 65), node]], axis=0)
+        assert np.all(best >= dense - 1e-14 * pv)
+        # the argmax reproduces the maximum, and it is a feasible next frontier
+        assert _same_bits(objective(arg), best)
+        assert np.all(arg >= nodes) and np.all(arg <= cap)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(0.5, 0.99),
+    v=st.floats(0.5, 0.99),
+    delta=st.floats(0.5, 0.99),
+    family=st.sampled_from(["reciprocal", "logarithmic"]),
+    c0=st.floats(0.0, 0.5),
+    k=st.floats(0.01, 5.0),
+)
+def test_solution_invariants_over_the_domain(p, v, delta, family, c0, k):
+    # logarithmic instances with p v >= c0 + 27 k put j* past the solver's edge (OutOfRangeError)
+    assume(family == "reciprocal" or p * v < c0 + 27.0 * k)
+    params = ModelParams(p, v, delta, CostModel(family, c0, k))
+    if not feasible_to_search(params):
+        with pytest.raises(ValueError, match="not worthwhile"):
+            value_iteration(params, SolverConfig(grid_size=128))
+        return
+    sol = value_iteration(params, SolverConfig(grid_size=128))
+    assert np.all(np.isfinite(sol.values))
+    assert np.all(sol.values >= 0.0) and np.all(sol.values <= p * v)
+    assert np.all(sol.policy >= sol.nodes) and np.all(sol.policy <= sol.cap)
+    b = frontier_sequence(sol, 50).boundaries
+    assert np.all(np.diff(b) >= 0.0) and np.all(b <= sol.cap)
