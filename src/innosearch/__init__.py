@@ -61,7 +61,6 @@ from .simulate import (
     simulate_path,
     substream,
 )
-from .config import ConfigError, RunConfig, SweepSpec, load_run_config, parse_config_file
 
 __all__ = [
     "__version__",
@@ -109,9 +108,4 @@ __all__ = [
     "simulate_batch",
     "simulate_path",
     "substream",
-    "ConfigError",
-    "RunConfig",
-    "SweepSpec",
-    "load_run_config",
-    "parse_config_file",
 ]

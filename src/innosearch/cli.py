@@ -6,16 +6,23 @@
     innosearch sweep    --out DIR --param NAME (--values A,B,.. | --start A --stop B --count N)
 
 Every command reads an optional flat key = value config file and applies
-flag overrides on top. Each RunConfig field is one flag; flag values are
-parsed exactly as config-file values are, and main loads the run config
-once, filling in the command's default horizon, before calling the
+flag overrides on top. Each RunConfig field is one flag, with the field's
+help text, parsed exactly as config-file values are; main loads the run
+config once, filling in the command's default horizon, before calling the
 command's handler. Tables are written as CSV with a JSON twin holding the
-same rows; --format svg adds charts. Exit codes: 0 success (including
-the legitimate no-search verdict), 2 configuration or validation error,
-3 solver did not converge, 4 enumeration budget exceeded, 5 a valid
-instance outside the solver's range. A sweep exits 0 unless every point
-failed; then 3 if each failed to converge, 5 if each was out of range, 2
-otherwise.
+same rows; --format svg adds charts.
+
+solve, simulate and sweep share one pipeline: _solve gives the instance,
+its value-iteration solution and frontier path, or None for the no-search
+verdict p v <= c(0), and _headline the numbers summary.json and a sweep row
+share. The verdict is a success (exit 0).
+
+FAILURES is the one exit-code policy, first matching row wins: 2 configuration
+or validation error, 3 solver did not converge, 4 enumeration budget
+exceeded, 5 a valid instance outside the solver's range. main applies it to
+what a handler raises and lets an unlisted exception propagate. A sweep
+point takes its code from it, 2 if unlisted; a sweep exits 0 unless every
+point failed, then with their common code, or 2 if they differ.
 
 A sweep is a list of run configs, one per sweep value, each validated before
 any is solved. They fan out over a process pool with one worker per CPU the
@@ -31,19 +38,19 @@ import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, SweepSpec, load_run_config
+from .config import SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSpec, load_run_config
 from .model import (
+    ModelParams,
     OutOfRangeError,
     cost_integral,
     feasible_to_search,
     myopic_boundary,
     posterior_feasible,
-    search_upper_bound,
 )
 from .oracle import (
     BudgetExceededError,
@@ -56,6 +63,8 @@ from .output import line_chart, write_json, write_svg, write_table
 from .simulate import SimConfig, active_probability_analytic, simulate_batch
 from .solver import (
     ConvergenceError,
+    FrontierPath,
+    ValueSolution,
     activity_split,
     backward_induction,
     euler_residual,
@@ -74,29 +83,38 @@ EXIT_OUT_OF_RANGE = 5
 DEFAULT_HORIZONS = {"solve": 200, "sweep": 200, "simulate": 500, "oracle": 2}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    common.add_argument(
-        "--format",
-        help="comma list of csv,json,svg (default csv,json); tables come as csv+json pairs, svg adds charts",
-    )
+# (exception types, exit code, stderr label); the first row that matches wins
+FAILURES = (
+    (ConfigError, EXIT_CONFIG, "configuration error"),
+    (BudgetExceededError, EXIT_BUDGET, "budget exceeded"),
+    (ConvergenceError, EXIT_CONVERGENCE, "solver failed"),
+    (OutOfRangeError, EXIT_OUT_OF_RANGE, "out of range"),
+    ((ValueError, OSError), EXIT_CONFIG, "error"),
+)
 
-    # RunConfig overrides: strings here, parsed by load_run_config like file values
-    ov = argparse.ArgumentParser(add_help=False)
-    ov.add_argument("--p", help="prior probability a feasible project exists")
-    ov.add_argument("--v", help="prize for completing the feasible project")
-    ov.add_argument("--delta", help="discount factor per period")
-    ov.add_argument("--cost-family", dest="cost_family", help="reciprocal or logarithmic")
-    ov.add_argument("--c0", help="marginal cost intercept")
-    ov.add_argument("--k", help="marginal cost slope parameter")
-    ov.add_argument("--grid-size", dest="grid_size")
-    ov.add_argument("--runs", help="Monte Carlo run count")
-    ov.add_argument("--horizon", help="periods: path length (solve, sweep), cap (simulate), T (oracle)")
-    ov.add_argument("--seed", help="64-bit simulation seed")
-    ov.add_argument("--slots", help="slot count for the discrete benchmark")
-    ov.add_argument("--budget", help="assignment enumeration budget")
+# the instance settings, echoed in every summary
+INSTANCE_FIELDS = ("p", "v", "delta", "cost_family", "c0", "k")
+
+SWEEP_COLUMNS = (
+    "parameter", "value", "status", "value_at_zero", "first_boundary",
+    "l_inf", "q_star", "j_star", "iterations", "error",
+)
+
+
+def _failure(e: BaseException) -> Tuple[int, Optional[str]]:
+    """e's exit code and stderr label from FAILURES; (EXIT_CONFIG, None) if no row lists it."""
+    for types, code, label in FAILURES:
+        if isinstance(e, types):
+            return code, label
+    return EXIT_CONFIG, None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # RunConfig settings: strings here, parsed by load_run_config like file values
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    for f in dataclasses.fields(RunConfig):
+        settings.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"])
 
     parser = argparse.ArgumentParser(
         prog="innosearch",
@@ -104,11 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common, ov], help="solve and extract the optimal frontier path")
-    sub.add_parser("simulate", parents=[common, ov], help="Monte Carlo runs under the optimal plan")
-    sub.add_parser("oracle", parents=[common, ov], help="exhaustive discrete benchmark")
-    sw = sub.add_parser("sweep", parents=[common, ov], help="solve across a parameter range")
-    sw.add_argument("--param", required=True, help="p, v, delta, c0, k, or scale")
+    sub.add_parser("solve", parents=[settings], help="solve and extract the optimal frontier path")
+    sub.add_parser("simulate", parents=[settings], help="Monte Carlo runs under the optimal plan")
+    sub.add_parser("oracle", parents=[settings], help="exhaustive discrete benchmark")
+    sw = sub.add_parser("sweep", parents=[settings], help="solve across a parameter range")
+    sw.add_argument("--param", required=True, help="one of " + ", ".join(SWEEP_PARAMETERS))
     sw.add_argument("--values", help="comma-separated sweep values")
     sw.add_argument("--start", help="first sweep value")
     sw.add_argument("--stop", help="last sweep value")
@@ -117,13 +135,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_payload(rc: RunConfig) -> Dict[str, object]:
+    return {name: getattr(rc, name) for name in INSTANCE_FIELDS}
+
+
+def _solve(rc: RunConfig) -> Optional[Tuple[ModelParams, ValueSolution, FrontierPath]]:
+    """The run's instance, its solution and its frontier path; None when p v <= c(0)."""
+    params = rc.model_params()
+    if not feasible_to_search(params):
+        return None
+    sol = value_iteration(params, rc.solver_config())
+    return params, sol, frontier_sequence(sol, rc.horizon)
+
+
+def _headline(params: ModelParams, sol: ValueSolution, path: FrontierPath) -> Dict[str, object]:
+    """The numbers a solved run reports in summary.json and in its sweep row."""
     return {
-        "p": rc.p,
-        "v": rc.v,
-        "delta": rc.delta,
-        "cost_family": rc.cost_family,
-        "c0": rc.c0,
-        "k": rc.k,
+        "value_at_zero": float(sol.values[0]),
+        "first_boundary": float(path.boundaries[1]),
+        "q_star": myopic_boundary(params),
+        "j_star": sol.cap,
+        "iterations": sol.iterations,
     }
 
 
@@ -143,11 +174,10 @@ def _no_search_summary(rc: RunConfig) -> int:
 
 def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
-    params = rc.model_params()
-    if not feasible_to_search(params):
+    solved = _solve(rc)
+    if solved is None:
         return _no_search_summary(rc)
-    sol = value_iteration(params, rc.solver_config())
-    path = frontier_sequence(sol, rc.horizon)
+    params, sol, path = solved
     threshold = sol.activity_threshold
     activity = activity_split(path, threshold)
 
@@ -187,16 +217,11 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
             rows,
         )
 
-    q_star = myopic_boundary(params)
     summary = _params_payload(rc)
     summary.update(
         {
             "searched": True,
-            "q_star": q_star,
-            "j_star": sol.cap,
-            "value_at_zero": float(sol.values[0]),
-            "first_boundary": float(path.boundaries[1]),
-            "iterations": sol.iterations,
+            **_headline(params, sol, path),
             "last_sup_norm_change": sol.sup_norm_history[-1],
             "grid_size": rc.grid_size,
             "horizon": rc.horizon,
@@ -217,7 +242,7 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
             [("frontier path", t_axis, [float(x) for x in path.boundaries])],
             hlines=[
                 (sol.cap, "search cap j*"),
-                (float(q_star), "one-shot boundary q*"),
+                (summary["q_star"], "one-shot boundary q*"),
             ],
         )
         write_svg(rc.out, "frontier", chart)
@@ -241,11 +266,10 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
 
 def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
     fmts = rc.formats()
-    params = rc.model_params()
-    if not feasible_to_search(params):
+    solved = _solve(rc)
+    if solved is None:
         return _no_search_summary(rc)
-    sol = value_iteration(params, rc.solver_config())
-    path = frontier_sequence(sol, rc.horizon)
+    params, sol, path = solved
     stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed, rc.horizon))
     periods = np.arange(1, rc.horizon + 1)
     analytic_active = active_probability_analytic(params, path, periods)
@@ -370,36 +394,22 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(rc: RunConfig) -> Dict[str, object]:
-    """Solve one sweep point; returns a row dict and never raises."""
-    row: Dict[str, object] = {
-        "status": "ok",
-        "value_at_zero": None,
-        "first_boundary": None,
-        "l_inf": None,
-        "q_star": None,
-        "j_star": None,
-        "iterations": None,
-        "error": None,
-    }
+def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
+    """Solve one sweep point: its row, parameter and value left unset, and its exit code.
+
+    Never raises: a failure is an error row with its FAILURES code.
+    """
+    row: Dict[str, object] = dict.fromkeys(SWEEP_COLUMNS)
     try:
-        params = rc.model_params()
-        if not feasible_to_search(params):
-            row["status"] = "no-search"
-            row["value_at_zero"] = 0.0
-            return row
-        sol = value_iteration(params, rc.solver_config())
-        path = frontier_sequence(sol, rc.horizon)
-        row["value_at_zero"] = float(sol.values[0])
-        row["first_boundary"] = float(path.boundaries[1])
-        row["l_inf"] = float(path.boundaries[-1])
-        row["q_star"] = myopic_boundary(params)
-        row["j_star"] = sol.cap
-        row["iterations"] = sol.iterations
+        solved = _solve(rc)
+        if solved is None:
+            row.update(status="no-search", value_at_zero=0.0)
+        else:
+            row.update(status="ok", l_inf=float(solved[2].boundaries[-1]), **_headline(*solved))
     except Exception as e:  # noqa: BLE001 - workers report, the parent decides
-        row["status"] = "error"
-        row["error"] = f"{type(e).__name__}: {e}"
-    return row
+        row.update(status="error", error=f"{type(e).__name__}: {e}")
+        return row, _failure(e)[0]
+    return row, EXIT_OK
 
 
 def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
@@ -413,11 +423,12 @@ def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_worker, configs))
-    results = [{"parameter": spec.parameter, "value": x, **r} for x, r in zip(spec.values, points)]
+    for x, (row, _) in zip(spec.values, points):
+        row.update(parameter=spec.parameter, value=x)
+    results = [row for row, _ in points]
 
-    columns = list(results[0])
     if fmts & {"csv", "json"}:
-        write_table(rc.out, "sweep", columns, [[row[c] for c in columns] for row in results])
+        write_table(rc.out, "sweep", SWEEP_COLUMNS, [list(row.values()) for row in results])
 
     if "svg" in fmts:
         ok = [r for r in results if r["status"] == "ok"]
@@ -430,17 +441,14 @@ def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
             )
             write_svg(rc.out, "sweep", chart)
 
-    failed = [r for r in results if r["status"] == "error"]
-    for r in failed:
-        print(f"sweep {spec.parameter} = {r['value']}: {r['error']}", file=sys.stderr)
+    failed = [(row, code) for row, code in points if row["status"] == "error"]
+    for row, _ in failed:
+        print(f"sweep {spec.parameter} = {row['value']}: {row['error']}", file=sys.stderr)
     print(f"swept {spec.parameter} over {len(results)} value(s), {len(failed)} failure(s)")
     if len(failed) < len(results):
         return EXIT_OK
-    # _sweep_worker spells each error "<exception type>: <message>"
-    for error, code in ((ConvergenceError, EXIT_CONVERGENCE), (OutOfRangeError, EXIT_OUT_OF_RANGE)):
-        if all(r["error"].startswith(f"{error.__name__}:") for r in failed):
-            return code
-    return EXIT_CONFIG
+    codes = {code for _, code in failed}
+    return codes.pop() if len(codes) == 1 else EXIT_CONFIG
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -458,21 +466,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if rc.horizon is None:
             rc.horizon = DEFAULT_HORIZONS[ns.command]
         return handlers[ns.command](rc, ns)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConvergenceError as e:
-        print(f"solver failed: {e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except OutOfRangeError as e:
-        print(f"out of range: {e}", file=sys.stderr)
-        return EXIT_OUT_OF_RANGE
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as e:  # noqa: BLE001 - FAILURES decides, unlisted exceptions propagate
+        code, label = _failure(e)
+        if label is None:
+            raise
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Run configuration: defaults, flat key = value config files, CLI overrides.
 
 Every run setting is one RunConfig field, settable as a config-file key and
-as the CLI flag of the same name (underscores become dashes). Config files
-are flat text: one `key = value` per line, # starts a comment, blank lines
-are fine. Unknown or duplicate keys are hard errors so typos cannot silently
-fall back to defaults. Precedence is CLI flag over file over default.
+as the CLI flag of the same name (underscores become dashes); the field's
+metadata holds the flag's help text. Config files are flat text: one
+`key = value` per line, # starts a comment, blank lines are fine. Unknown or
+duplicate keys are hard errors so typos cannot silently fall back to
+defaults. Precedence is CLI flag over file over default.
 
 File values and flag values go through one parser, _coerce: integers are
 exact (any size), a float spelling such as 1e6 is accepted for an integer
@@ -29,30 +30,33 @@ class ConfigError(ValueError):
     """Bad configuration: unknown key, unparseable or out-of-range value."""
 
 
+def _setting(default, doc: str):
+    """A RunConfig field whose CLI flag has the help text doc."""
+    return dataclasses.field(default=default, metadata={"help": doc})
+
+
 @dataclass
 class RunConfig:
     # instance
-    p: float = 0.5
-    v: float = 2.0
-    delta: float = 0.9
-    cost_family: str = "reciprocal"
-    c0: float = 0.0
-    k: float = 1.0
+    p: float = _setting(0.5, "prior probability a feasible project exists")
+    v: float = _setting(2.0, "prize for completing the feasible project")
+    delta: float = _setting(0.9, "discount factor per period")
+    cost_family: str = _setting("reciprocal", "reciprocal or logarithmic")
+    c0: float = _setting(0.0, "marginal cost intercept")
+    k: float = _setting(1.0, "marginal cost slope parameter")
     # solver
-    grid_size: int = 2048
+    grid_size: int = _setting(2048, "nodes of the value-function grid")
     # simulation
-    runs: int = 100_000
-    seed: int = 12345
-    # horizon is command-specific: path length for solve and sweep, censoring
-    # cap for simulate, number of periods for oracle. None picks the command
-    # default.
-    horizon: Optional[int] = None
+    runs: int = _setting(100_000, "Monte Carlo run count")
+    seed: int = _setting(12345, "64-bit simulation seed")
+    # None picks the command's default
+    horizon: Optional[int] = _setting(None, "periods: path length (solve, sweep), cap (simulate), T (oracle)")
     # discrete benchmark
-    slots: int = 8
-    budget: int = DEFAULT_BUDGET
+    slots: int = _setting(8, "slot count for the discrete benchmark")
+    budget: int = _setting(DEFAULT_BUDGET, "assignment enumeration budget")
     # output
-    out: str = "out"
-    format: str = "csv,json"
+    out: str = _setting("out", "output directory (default: out)")
+    format: str = _setting("csv,json", "comma list of csv,json,svg (default csv,json); svg adds charts")
 
     def model_params(self) -> ModelParams:
         try:

@@ -190,10 +190,8 @@ def feasible_to_search(params: ModelParams) -> bool:
     return params.p * params.v > params.cost.c0
 
 
-def _bisect_increasing(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = BISECT_TOL
-) -> float:
-    """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi), to bracket width tol."""
+def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi), to bracket width BISECT_TOL."""
     flo = f(lo)
     fhi = f(hi)
     if flo > 0.0 or fhi < 0.0:
@@ -204,7 +202,7 @@ def _bisect_increasing(
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= BISECT_TOL:
             break
         fm = f(mid)
         if fm == 0.0:
@@ -262,12 +260,11 @@ def search_upper_bound(params: ModelParams) -> Optional[float]:
     hi = 1.0 - BISECT_EDGE
     if g(hi) <= 0.0:
         return hi
-    # geometric ladder from q* toward the edge; take the last sign change
+    # geometric ladder from q*, where g = -q* p (p v) < 0, to the edge, where g > 0;
+    # bisect between its last point with g <= 0 and the next
     gap = 1.0 - q
-    ladder = 1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200)
-    lo = q
-    for t in ladder[1:]:
-        if g(t) > 0.0:
-            return _bisect_increasing(g, lo, float(t))
-        lo = float(t)
-    return _bisect_increasing(g, lo, hi)
+    ladder = np.append(1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200), hi)
+    ladder[0] = q
+    nonpositive = np.flatnonzero(g(ladder[1:-1]) <= 0.0)
+    last = nonpositive[-1] + 1 if nonpositive.size else 0
+    return _bisect_increasing(g, float(ladder[last]), float(ladder[last + 1]))

@@ -6,7 +6,7 @@ import xml.dom.minidom
 
 import pytest
 
-from innosearch import solver
+from innosearch import cli, solver
 from innosearch.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -309,3 +309,63 @@ def test_override_flags_are_run_config_fields(command):
     flags = set(vars(ns)) - {"command", "config", "param", "values", "start", "stop", "count"}
     assert flags == {f.name for f in dataclasses.fields(RunConfig)}
     assert all(getattr(ns, name) is None for name in flags)
+
+
+def test_simulate_no_search_region(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--out", out, "--p", "0.4", "--v", "0.1", "--c0", "0.2"]) == EXIT_OK
+    assert "no search optimal" in capsys.readouterr().out
+    summary = read_json(out, "summary")
+    assert summary["searched"] is False
+    assert summary["value_at_zero"] == 0.0
+
+
+def test_simulate_svg_output(tmp_path):
+    out = str(tmp_path / "run")
+    argv = ["simulate", "--format", "csv,json,svg", "--runs", "1000", "--horizon", "20", "--grid-size", "64"]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    with open(os.path.join(out, "active.svg"), encoding="utf-8") as fh:
+        xml.dom.minidom.parseString(fh.read())
+
+
+def test_solve_reports_convergence_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
+    assert main(["solve", "--out", str(tmp_path / "run")]) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith("solver failed: ")
+
+
+def test_sweep_no_search_point(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    argv = ["sweep", "--param", "v", "--values", "0.1", "--p", "0.4", "--c0", "0.2"]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    assert "0 failure(s)" in capsys.readouterr().out
+    data = read_json(out, "sweep")
+    row = dict(zip(data["columns"], data["rows"][0]))
+    assert row["status"] == "no-search"
+    assert row["value_at_zero"] == 0.0
+    assert row["first_boundary"] is None and row["error"] is None
+
+
+def test_unlisted_exception_propagates(tmp_path, capsys, monkeypatch):
+    # the failure table lists no RuntimeError: main lets it through, a sweep point reports it as 2
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(cli, "value_iteration", broken)
+    out = str(tmp_path / "run")
+    with pytest.raises(RuntimeError, match="broken solver"):
+        main(["solve", "--out", out])
+    assert main(["sweep", "--param", "v", "--values", "2", "--out", out]) == EXIT_CONFIG
+    assert "RuntimeError: broken solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "oracle", "sweep"])
+def test_help_shows_every_setting(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    for f in dataclasses.fields(RunConfig):
+        assert f.metadata["help"]
+        assert f"--{f.name.replace('_', '-')} {f.name.upper()} {f.metadata['help']}" in text

@@ -18,7 +18,7 @@ from innosearch import (
     search_upper_bound,
     success_probability,
 )
-from innosearch.model import OutOfRangeError
+from innosearch.model import BISECT_TOL, OutOfRangeError
 
 REC = CostModel.reciprocal(0.0, 1.0)
 LOG = CostModel.logarithmic(0.0, 1.0)
@@ -247,6 +247,26 @@ def test_search_cap_frozen_root():
     # root of (j / (1 - j)) (1 - 0.3 j) = 0.3, bisected offline to 1e-15
     params = params_with(REC, p=0.3, v=1.0)
     assert search_upper_bound(params) == pytest.approx(0.24457290088820088, abs=1e-12)
+
+
+def test_search_cap_is_the_last_crossing():
+    # g(j) = c(j)(1 - jp) - pv turns positive just above q* = 1 - exp(-0.2), negative
+    # again for -log(1 - j) in (2.9, 20) and positive once more near the edge
+    params = params_with(LOG, p=0.99, v=0.2 / 0.99)
+    g = lambda j: cost_density(LOG, j) * (1.0 - j * params.p) - params.p * params.v
+    cap = search_upper_bound(params)
+    assert g(cap - BISECT_TOL) <= 0.0 <= g(cap + BISECT_TOL)
+    assert 1.0 - cap == pytest.approx(2.06e-9, rel=1e-2)
+    # above the cap every marginal project loses money: g > 0 on the whole ladder
+    q = myopic_boundary(params)
+    ladder = 1.0 - (1.0 - q) * np.logspace(0.0, np.log10(BISECT_EDGE / (1.0 - q)), 200)
+    assert np.all(g(ladder[ladder > cap]) > 0.0)
+
+
+def test_search_cap_with_one_crossing_is_bitwise_unchanged():
+    # where g has one root the ladder's bracket, and so the bisected cap, is the same
+    assert search_upper_bound(params_with(REC)) == 0.5857864376267296
+    assert search_upper_bound(params_with(CostModel.logarithmic(0.1, 1.0))) == 0.787700522655336
 
 
 def test_search_cap_exceeds_myopic_boundary():

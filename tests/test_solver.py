@@ -464,6 +464,15 @@ def test_golden_objective_is_bitwise_bellman_rhs(family):
     assert _same_bits(objective(l), wait)
 
 
+def test_last_crossing_cap_keeps_the_policy():
+    # the cap is the last root of g, at 1 - 2.1e-9 and far above the first, 0.2275;
+    # on the wider grid the first step stays below that first root
+    params = ModelParams(0.99, 0.2 / 0.99, 0.9, CostModel.logarithmic(0.0, 1.0))
+    sol = value_iteration(params, SolverConfig(grid_size=512))
+    assert sol.cap > 1.0 - 1e-8
+    assert 0.0 < sol.policy_at(0.0) < 0.2275
+
+
 def test_policy_at_cap_is_cap(base_solution, log_solution_512):
     for sol in (base_solution, log_solution_512):
         assert sol.policy_at(sol.cap) == sol.cap
