@@ -10,7 +10,6 @@ the command-line surface.
 __version__ = "0.1.0"
 
 from .model import (
-    BISECT_EDGE,
     CostFamily,
     CostModel,
     ModelParams,
@@ -20,7 +19,6 @@ from .model import (
     myopic_boundary,
     posterior_feasible,
     search_upper_bound,
-    success_probability,
 )
 from .solver import (
     ActivityReport,
@@ -35,7 +33,6 @@ from .solver import (
     bellman_rhs,
     continuation_inequality_check,
     euler_residual,
-    final_stage_boundary,
     frontier_sequence,
     value_iteration,
 )
@@ -64,7 +61,6 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "BISECT_EDGE",
     "CostFamily",
     "CostModel",
     "ModelParams",
@@ -74,7 +70,6 @@ __all__ = [
     "myopic_boundary",
     "posterior_feasible",
     "search_upper_bound",
-    "success_probability",
     "ActivityReport",
     "BackwardSolution",
     "ContinuationReport",
@@ -87,7 +82,6 @@ __all__ = [
     "bellman_rhs",
     "continuation_inequality_check",
     "euler_residual",
-    "final_stage_boundary",
     "frontier_sequence",
     "value_iteration",
     "Assignment",

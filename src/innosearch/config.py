@@ -23,6 +23,7 @@ import numpy as np
 
 from .model import CostModel, ModelParams
 from .oracle import DEFAULT_BUDGET
+from .simulate import MAX_RUNS
 from .solver import SolverConfig
 
 
@@ -74,8 +75,8 @@ class RunConfig:
     def validated(self) -> "RunConfig":
         self.model_params()
         self.solver_config()
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if not (1 <= self.runs <= MAX_RUNS):
+            raise ConfigError(f"runs must be in [1, 2**63 - 1 = {MAX_RUNS}], got {self.runs}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.horizon is not None and self.horizon < 1:

@@ -261,10 +261,12 @@ def search_upper_bound(params: ModelParams) -> Optional[float]:
     if g(hi) <= 0.0:
         return hi
     # geometric ladder from q*, where g = -q* p (p v) < 0, to the edge, where g > 0;
-    # bisect between its last point with g <= 0 and the next
+    # bisect between its last point with g <= 0 and the next. When q* is below
+    # BISECT_TOL, g(q*) can round positive; the ladder then starts at 0, where
+    # g = c0 - p v < 0 since searching is feasible.
     gap = 1.0 - q
     ladder = np.append(1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200), hi)
-    ladder[0] = q
+    ladder[0] = q if g(q) <= 0.0 else 0.0
     nonpositive = np.flatnonzero(g(ladder[1:-1]) <= 0.0)
     last = nonpositive[-1] + 1 if nonpositive.size else 0
     return _bisect_increasing(g, float(ladder[last]), float(ladder[last + 1]))

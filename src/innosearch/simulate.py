@@ -7,11 +7,13 @@ the location; runs that have not succeeded by horizon_cap are censored and
 reported as still active, which includes every infeasible run since the
 searcher never observes infeasibility directly.
 
-Randomness is counter-based (Philox keyed by the seed) so runs are
-reproducible in isolation: run i owns counter block i and reads its two
-uniforms from the first two outputs of that block. The batch path generates
-the blocks in consecutive chunks of one stream and is bit-identical to
-per-run generation.
+Randomness is counter-based (Philox keyed by the seed). simulate_path draws
+one run from counter block i of that stream (see substream), so any run is
+reproducible in isolation. simulate_batch does not replay those runs: every
+aggregate is a function of how many runs succeed in each period and how many
+never do, and those counts are Multinomial(runs; p dl_1, ..., p dl_H,
+1 - p l_H), so the batch draws them in one multinomial draw on the seed's
+stream. Its time and memory depend on the horizon, not on the run count.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .model import ArrayLike, ModelParams, cost_integral
 from .solver import FrontierPath
 
-# Runs simulate_batch draws and scores at a time; bounds its working memory.
-CHUNK_RUNS = 2**18
+# Largest run count: numpy's multinomial takes an int64 run count.
+MAX_RUNS = 2**63 - 1
 
 
 @dataclass
@@ -38,8 +40,8 @@ class SimConfig:
     horizon_cap: int = 500
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if not (1 <= self.runs <= MAX_RUNS):
+            raise ValueError(f"runs must be in [1, 2**63 - 1 = {MAX_RUNS}], got {self.runs}")
         if self.horizon_cap < 1:
             raise ValueError(f"horizon_cap must be >= 1, got {self.horizon_cap}")
         if not (0 <= self.seed < 2**64):
@@ -95,13 +97,6 @@ def _discounted_cell_costs(config: SimConfig):
     return disc, np.cumsum(disc * cell)
 
 
-def _success_period(config: SimConfig, location):
-    """First period whose interval contains the location; 0 when past the cap."""
-    b = config.path.boundaries[: config.horizon_cap + 1]
-    idx = np.searchsorted(b, location, side="right")
-    return np.where(idx <= config.horizon_cap, idx, 0)
-
-
 def simulate_path(config: SimConfig, rng: np.random.Generator) -> PathRecord:
     """One run from an explicit randomness source (see substream)."""
     u = rng.random(2)
@@ -109,13 +104,10 @@ def simulate_path(config: SimConfig, rng: np.random.Generator) -> PathRecord:
     disc, cum_cost = _discounted_cell_costs(config)
     b = config.path.boundaries[: config.horizon_cap + 1]
     intensity = np.diff(b)
-    if feasible:
-        location = float(u[1])
-        tau = int(_success_period(config, location))
-    else:
-        location = None
-        tau = 0
-    if tau > 0:
+    location = float(u[1]) if feasible else None
+    # first period whose interval contains the location; past the cap counts as none
+    tau = int(np.searchsorted(b, location, side="right")) if feasible else 0
+    if 0 < tau <= config.horizon_cap:
         payoff = config.params.v * disc[tau - 1] - cum_cost[tau - 1]
         return PathRecord(
             feasible=True,
@@ -138,44 +130,33 @@ def simulate_path(config: SimConfig, rng: np.random.Generator) -> PathRecord:
 
 
 def simulate_batch(config: SimConfig) -> AggregateStats:
-    """All runs in chunks of CHUNK_RUNS; draws are bit-identical to per-run simulate_path calls."""
+    """All runs as one multinomial draw of success-period counts; exact moments from the counts."""
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     disc, cum_cost = _discounted_cell_costs(config)
-    cap = config.horizon_cap
-    payoffs = np.empty(config.runs)
-    hist = np.zeros(cap + 1, dtype=np.intp)
-    for lo in range(0, config.runs, CHUNK_RUNS):
-        n = min(CHUNK_RUNS, config.runs - lo)
-        # each run owns one Philox block of four doubles, so chunked draws continue one stream
-        u = gen.random(4 * n).reshape(n, 4)[:, :2]
-        feasible = u[:, 0] < config.params.p
-        tau = np.where(feasible, _success_period(config, u[:, 1]), 0)
-        succeeded = tau > 0
-        payoffs[lo : lo + n] = np.where(
-            succeeded,
-            config.params.v * disc[np.maximum(tau, 1) - 1] - cum_cost[np.maximum(tau, 1) - 1],
-            -cum_cost[-1],
-        )
-        hist += np.bincount(tau[succeeded], minlength=cap + 1)
+    b = config.path.boundaries[: config.horizon_cap + 1]
+    p, runs = config.params.p, config.runs
+    # outcome t - 1 is success in period t, the last outcome is no success by the cap
+    counts = gen.multinomial(runs, np.append(p * np.diff(b), 1.0 - p * b[-1]))
+    payoffs = np.append(config.params.v * disc - cum_cost, -cum_cost[-1])
 
-    hist = hist[1:]
-    cum_success = np.cumsum(hist)
-    active = config.runs - np.concatenate(([0], cum_success[:-1]))
-    active_fraction = active / config.runs
-    success_fraction = cum_success / config.runs
-    halfwidths = 3.0 * np.sqrt(active_fraction * (1.0 - active_fraction) / config.runs)
+    cum_success = np.cumsum(counts[:-1])
+    active = runs - np.concatenate(([0], cum_success[:-1]))
+    active_fraction = active / runs
+    success_fraction = cum_success / runs
+    halfwidths = 3.0 * np.sqrt(active_fraction * (1.0 - active_fraction) / runs)
 
-    mean = float(payoffs.mean())
-    stderr = float(payoffs.std(ddof=1) / math.sqrt(config.runs)) if config.runs > 1 else 0.0
+    weights = counts.astype(float)
+    mean = float(weights @ payoffs / runs)
+    variance = float(weights @ (payoffs - mean) ** 2 / (runs - 1)) if runs > 1 else 0.0
     return AggregateStats(
-        runs=config.runs,
+        runs=runs,
         seed=config.seed,
-        horizon_cap=cap,
+        horizon_cap=config.horizon_cap,
         active_fraction=active_fraction,
         success_fraction=success_fraction,
         confidence_halfwidths=halfwidths,
         mean_discounted_payoff=mean,
-        payoff_standard_error=stderr,
+        payoff_standard_error=math.sqrt(variance / runs),
     )
 
 

@@ -255,6 +255,30 @@ def test_infinite_integer_setting_is_a_config_error(tmp_path, capsys):
     assert "cannot parse runs = 'inf'" in capsys.readouterr().err
 
 
+def test_simulate_run_count_is_set_by_the_multinomial(tmp_path, capsys):
+    # the batch draws counts, not runs, so 1e10 runs cost what 1e5 do
+    out = str(tmp_path / "run")
+    argv = ["simulate", "--runs", "1e10", "--grid-size", "128", "--horizon", "20"]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    assert read_json(out, "summary")["runs"] == 10**10
+    capsys.readouterr()
+    # beyond int64 the configuration is rejected before anything is solved
+    assert main(["simulate", "--runs", "1e19", "--out", out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2**63 - 1 = 9223372036854775807" in captured.err
+
+
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+def test_solve_when_search_barely_pays(tmp_path, family):
+    out = str(tmp_path / "run")
+    argv = ["solve", "--p", "0.5", "--v", "2.000000000000001", "--c0", "1", "--cost-family", family]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    summary = read_json(out, "summary")
+    assert 0.0 < summary["j_star"] <= 1e-12
+    assert 0.0 <= summary["value_at_zero"] < 1e-20
+
+
 def test_integer_flag_takes_float_spelling(tmp_path):
     out = str(tmp_path / "run")
     argv = ["oracle", "--slots", "1e1", "--horizon", "1", "--grid-size", "64", "--out", out]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from innosearch import (
-    BISECT_EDGE,
     CostModel,
     ModelParams,
     cost_density,
@@ -16,9 +15,8 @@ from innosearch import (
     myopic_boundary,
     posterior_feasible,
     search_upper_bound,
-    success_probability,
 )
-from innosearch.model import BISECT_TOL, OutOfRangeError
+from innosearch.model import BISECT_EDGE, BISECT_TOL, OutOfRangeError, success_probability
 
 REC = CostModel.reciprocal(0.0, 1.0)
 LOG = CostModel.logarithmic(0.0, 1.0)
@@ -267,6 +265,15 @@ def test_search_cap_with_one_crossing_is_bitwise_unchanged():
     # where g has one root the ladder's bracket, and so the bisected cap, is the same
     assert search_upper_bound(params_with(REC)) == 0.5857864376267296
     assert search_upper_bound(params_with(CostModel.logarithmic(0.1, 1.0))) == 0.787700522655336
+
+
+@pytest.mark.parametrize("cost", [CostModel.reciprocal(1.0, 1.0), CostModel.logarithmic(1.0, 1.0)])
+def test_search_cap_when_q_star_is_below_the_bisection_tolerance(cost):
+    # p v exceeds c0 by 1e-15, so q* is bisected to a point where g rounds positive
+    params = params_with(cost, v=2.000000000000001)
+    g = lambda j: cost_density(cost, j) * (1.0 - j * params.p) - params.p * params.v
+    assert g(myopic_boundary(params)) > 0.0 > g(0.0)
+    assert 0.0 < search_upper_bound(params) <= BISECT_TOL
 
 
 def test_search_cap_exceeds_myopic_boundary():

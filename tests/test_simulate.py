@@ -1,7 +1,6 @@
-import dataclasses
-
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, chisquare
 
 from innosearch import (
     CostModel,
@@ -11,8 +10,8 @@ from innosearch import (
     cost_integral,
     simulate_batch,
 )
-from innosearch import simulate
 from innosearch.simulate import (
+    MAX_RUNS,
     active_probability_analytic,
     simulate_path,
     substream,
@@ -30,25 +29,49 @@ def collect_records(config):
     return [simulate_path(config, substream(config.seed, i)) for i in range(config.runs)]
 
 
-def test_batch_matches_per_run_streams():
-    config = tiny_config(runs=300)
-    stats = simulate_batch(config)
-    records = collect_records(config)
+def batch_counts(result):
+    """Runs succeeding in each period 1..cap, then runs never succeeding, from a batch."""
+    succ = np.diff((result.success_fraction * result.runs).round().astype(int), prepend=0)
+    return np.append(succ, result.runs - succ.sum())
 
-    # integer head counts must agree exactly, not just statistically
-    succ_counts = np.zeros(config.horizon_cap, dtype=int)
-    active_counts = np.zeros(config.horizon_cap, dtype=int)
+
+def path_counts(records, cap):
+    counts = np.zeros(cap + 1, dtype=int)
     for r in records:
-        if r.success_period is not None:
-            succ_counts[r.success_period - 1] += 1
-        for t in range(1, config.horizon_cap + 1):
-            if r.success_period is None or r.success_period >= t:
-                active_counts[t - 1] += 1
-    cumulative = np.cumsum(succ_counts)  # success_fraction counts by-end-of-period
-    assert np.array_equal(cumulative, (stats.success_fraction * config.runs).round().astype(int))
-    assert np.array_equal(active_counts, (stats.active_fraction * config.runs).round().astype(int))
-    mean = float(np.mean([r.discounted_payoff for r in records]))
-    assert stats.mean_discounted_payoff == pytest.approx(mean, abs=1e-12)
+        counts[r.success_period - 1 if r.success_period is not None else cap] += 1
+    return counts
+
+
+def test_batch_and_per_run_histograms_share_one_law():
+    # the batch no longer replays simulate_path's per-run streams, so the two
+    # samplers are checked against the exact cell probabilities and each other
+    config = tiny_config(runs=3000, seed=2024)
+    batch = batch_counts(simulate_batch(config))
+    per_run = path_counts(collect_records(config), config.horizon_cap)
+    p, b = config.params.p, TINY_PATH.boundaries
+    exact = np.append(p * np.diff(b), 1.0 - p * b[-1])
+    for counts in (batch, per_run):
+        assert counts.sum() == config.runs
+        assert chisquare(counts, exact * config.runs).pvalue >= 1e-4
+    assert chi2_contingency(np.vstack([batch, per_run])).pvalue >= 1e-4
+
+
+def test_batch_moments_are_exact_in_the_counts():
+    config = tiny_config(runs=300)
+    params = config.params
+    b = TINY_PATH.boundaries
+    cost1 = float(cost_integral(params.cost, b[0], b[1]))
+    cost2 = float(cost_integral(params.cost, b[1], b[2]))
+    by_hand = np.array([
+        params.v - cost1,
+        params.v * params.delta - (cost1 + params.delta * cost2),
+        -(cost1 + params.delta * cost2),
+    ])
+    result = simulate_batch(config)
+    sample = np.repeat(by_hand, batch_counts(result))
+    assert result.mean_discounted_payoff == pytest.approx(sample.mean(), abs=1e-15)
+    se = sample.std(ddof=1) / np.sqrt(config.runs)
+    assert result.payoff_standard_error == pytest.approx(se, abs=1e-15)
 
 
 def test_rerunning_one_stream_is_bit_identical():
@@ -69,17 +92,6 @@ def test_batch_determinism():
     assert a.mean_discounted_payoff == b.mean_discounted_payoff
     other = simulate_batch(tiny_config(runs=500, seed=405))
     assert other.mean_discounted_payoff != a.mean_discounted_payoff
-
-
-def test_chunked_batch_is_bit_identical(monkeypatch):
-    # 100 runs in one chunk against chunks of 7, the last one short
-    config = tiny_config(runs=100)
-    whole = simulate_batch(config)
-    monkeypatch.setattr(simulate, "CHUNK_RUNS", 7)
-    chunked = simulate_batch(config)
-    for f in dataclasses.fields(whole):
-        a, b = np.asarray(getattr(whole, f.name)), np.asarray(getattr(chunked, f.name))
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
 
 def test_active_fraction_shape():
@@ -181,3 +193,12 @@ def test_config_validation(base_path):
         SimConfig(params, TINY_PATH, 10, 1, 3)  # cap longer than the path
     with pytest.raises(ValueError):
         SimConfig(params, TINY_PATH, 10, 1, 0)
+
+
+def test_run_count_is_bounded_by_the_multinomial():
+    params = tiny_config().params
+    largest = simulate_batch(SimConfig(params, TINY_PATH, MAX_RUNS, 1, 2))
+    assert largest.runs == 2**63 - 1
+    assert largest.success_fraction == pytest.approx([0.15, 0.25], abs=1e-9)
+    with pytest.raises(ValueError, match=str(MAX_RUNS)):
+        SimConfig(params, TINY_PATH, MAX_RUNS + 1, 1, 2)

@@ -21,7 +21,6 @@ from innosearch import (
     cost_integral,
     euler_residual,
     feasible_to_search,
-    final_stage_boundary,
     frontier_sequence,
     myopic_boundary,
     search_upper_bound,
@@ -41,6 +40,7 @@ from innosearch.solver import (
     _interp_stencil,
     _maximize_rows,
     _row_objective,
+    final_stage_boundary,
 )
 
 # frozen canonical results at grid 2048 (see conftest for the instance)
