@@ -34,10 +34,9 @@ import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
 
-# Shared root-finding constants: brackets stop this far short of j = 1, and
-# bisection runs until the bracket is narrower than BISECT_TOL.
+# The solver's range ends this far short of j = 1: no boundary above
+# 1 - BISECT_EDGE is represented.
 BISECT_EDGE = 1e-12
-BISECT_TOL = 1e-12
 
 
 class OutOfRangeError(ValueError):
@@ -171,47 +170,27 @@ def posterior_feasible(params: ModelParams, l: ArrayLike) -> ArrayLike:
     return _ret(scalar, (1.0 - l) * params.p / (1.0 - l * params.p))
 
 
-def success_probability(params: ModelParams, l: ArrayLike, l_next: ArrayLike) -> ArrayLike:
-    """Chance the period succeeds when the frontier moves from l to l_next.
-
-    Conditional on the history of failures up to l, the feasible project sits
-    in [l, l_next) with probability p (l_next - l) / (1 - l p).
-    """
-    scalar = _scalar_input(l, l_next)
-    l = np.asarray(l, dtype=float)
-    l_next = np.asarray(l_next, dtype=float)
-    if np.any(l < 0.0) or np.any(l_next < l) or np.any(l_next >= 1.0):
-        raise ValueError("frontiers must satisfy 0 <= l <= l_next < 1")
-    return _ret(scalar, params.p * (l_next - l) / (1.0 - l * params.p))
-
-
 def feasible_to_search(params: ModelParams) -> bool:
     """True when the first marginal project is worth searching: p v > c(0)."""
     return params.p * params.v > params.cost.c0
 
 
 def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi), to bracket width BISECT_TOL."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo > 0.0 or fhi < 0.0:
+    """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi), to adjacent doubles.
+
+    Bisects until hi is the next double above lo, keeping f(lo) <= 0 <= f(hi),
+    and returns lo.
+    """
+    if f(lo) > 0.0 or f(hi) < 0.0:
         raise ValueError("bisection bracket does not straddle a root")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_TOL:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
+        if not lo < mid < hi:
+            return lo
+        if f(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def myopic_boundary(params: ModelParams) -> Optional[float]:
@@ -219,8 +198,11 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
 
     A searcher with no continuation extends the frontier until the marginal
     cost eats the marginal expected prize. The root is unique because c is
-    strictly increasing and diverges at 1. Raises OutOfRangeError when the
-    root lies above 1 - BISECT_EDGE, where no bracket can reach it.
+    strictly increasing and diverges at 1. With x = (p v - c0) / k it is
+    x / (1 + x) for the reciprocal family and 1 - exp(-x), taken as
+    -expm1(-x), for the logarithmic one: no cancellation, so a root near 0
+    keeps its relative precision. Raises OutOfRangeError when the root lies
+    above 1 - BISECT_EDGE, outside the solver's range.
     """
     pv = params.p * params.v
     if pv <= params.cost.c0:
@@ -232,11 +214,10 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
             f"the edge of the solver's range: the one-shot boundary q* lies closer to 1 than "
             f"1 - {BISECT_EDGE:g}"
         )
-    f = lambda q: cost_density(params.cost, q) - pv
-    hi = 0.5
-    while f(hi) < 0.0 and hi < 1.0 - BISECT_EDGE:
-        hi = min(1.0 - BISECT_EDGE, 0.5 * (1.0 + hi))
-    return _bisect_increasing(f, 0.0, hi)
+    x = (pv - params.cost.c0) / params.cost.k
+    if params.cost.family is CostFamily.RECIPROCAL:
+        return x / (1.0 + x)
+    return -math.expm1(-x)
 
 
 def search_upper_bound(params: ModelParams) -> Optional[float]:
@@ -261,8 +242,8 @@ def search_upper_bound(params: ModelParams) -> Optional[float]:
     if g(hi) <= 0.0:
         return hi
     # geometric ladder from q*, where g = -q* p (p v) < 0, to the edge, where g > 0;
-    # bisect between its last point with g <= 0 and the next. When q* is below
-    # BISECT_TOL, g(q*) can round positive; the ladder then starts at 0, where
+    # bisect between its last point with g <= 0 and the next. When q* is tiny,
+    # g(q*) can round positive; the ladder then starts at 0, where
     # g = c0 - p v < 0 since searching is feasible.
     gap = 1.0 - q
     ladder = np.append(1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200), hi)

@@ -216,9 +216,10 @@ def _half_tables(instance: DiscreteInstance, slot_idx: np.ndarray):
     T = instance.horizon
     mass = 1.0 / instance.slots
     m_half = len(slot_idx)
+    # the row count is explicit: reshape cannot infer it for an empty half (m_half = 0)
     patterns = np.array(
         list(itertools.product(range(T + 1), repeat=m_half)), dtype=np.int8
-    ).reshape(-1, m_half)
+    ).reshape((T + 1) ** m_half, m_half)
     R = patterns.shape[0]
     costs = instance.slot_costs[slot_idx] if m_half else np.zeros(0)
     infinite = ~np.isfinite(costs)

@@ -68,7 +68,6 @@ from .model import (
     ArrayLike,
     ModelParams,
     _antiderivative_term,
-    _bisect_increasing,
     _cost_integral_kernel,
     _density_slope,
     cost_density,
@@ -507,28 +506,6 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
     )
 
 
-def final_stage_boundary(params: ModelParams, l_prev: float, cap: Optional[float] = None) -> float:
-    """Optimal frontier for a last period with no continuation, from l_prev.
-
-    The one-period objective p (l' - l) v / (1 - l p) - C(l, l') is strictly
-    concave in l' (its second derivative is -c'(l') < 0), so the maximizer is
-    the unique root of c(l') = p v / (1 - l_prev p), found by bisection. This
-    pins the terminal boundary far more precisely than a derivative-free
-    search of the flat objective could.
-    """
-    if cap is None:
-        cap = search_upper_bound(params)
-        if cap is None:
-            raise ValueError("searching is not worthwhile: p v <= c(0)")
-    if not (0.0 <= l_prev <= cap):
-        raise ValueError(f"frontier {l_prev} outside [0, {cap}]")
-    target = params.p * params.v / (1.0 - l_prev * params.p)
-    f = lambda x: cost_density(params.cost, x) - target
-    if f(cap) <= 0.0:
-        return cap
-    return _bisect_increasing(f, l_prev, cap)
-
-
 def backward_induction(
     params: ModelParams, truncation: int, config: Optional[SolverConfig] = None
 ) -> BackwardSolution:
@@ -536,8 +513,10 @@ def backward_induction(
 
     Builds stage values by backward sweeps from the zero terminal function,
     then extracts the optimal frontier path from l = 0, re-maximizing at the
-    exact continuous state each period. The last period of the path uses
-    final_stage_boundary instead of the bracketed search.
+    exact continuous state each period against the stage values of the
+    periods left. The last period maximizes against W = 0, where the
+    objective is strictly concave and the bracket's Newton steps solve its
+    first-order condition c(l') = p v / (1 - l p) to rounding.
     """
     config = config or SolverConfig()
     if truncation < 1:
@@ -551,11 +530,9 @@ def backward_induction(
 
     boundaries = np.zeros(truncation + 1)
     l = 0.0
-    for t in range(1, truncation):
+    for t in range(1, truncation + 1):
         l = _step(params, cap, nodes, stage_values[truncation - t], l)
         boundaries[t] = l
-    # final_stage_boundary bisects inside [l, cap], so it needs no clamp
-    boundaries[truncation] = final_stage_boundary(params, l, cap)
 
     return BackwardSolution(
         params=params,

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import xml.dom.minidom
 
@@ -277,6 +278,18 @@ def test_solve_when_search_barely_pays(tmp_path, family):
     summary = read_json(out, "summary")
     assert 0.0 < summary["j_star"] <= 1e-12
     assert 0.0 <= summary["value_at_zero"] < 1e-20
+    # c(q) = p v in closed form, x = (p v - c0) / k = 4.4e-16
+    x = 0.5 * 2.000000000000001 - 1.0
+    q_star = x / (1.0 + x) if family == "reciprocal" else -math.expm1(-x)
+    assert abs(summary["q_star"] - q_star) <= 2.0 * math.ulp(q_star)
+
+
+def test_oracle_single_slot(tmp_path):
+    # one slot leaves the high half of the split enumeration empty
+    out = str(tmp_path / "run")
+    argv = ["oracle", "--slots", "1", "--horizon", "1", "--grid-size", "64", "--out", out]
+    assert main(argv) == EXIT_OK
+    assert len(read_json(out, "oracle")["schedule"]) == 1
 
 
 def test_integer_flag_takes_float_spelling(tmp_path):

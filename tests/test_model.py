@@ -1,8 +1,10 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -16,7 +18,8 @@ from innosearch import (
     posterior_feasible,
     search_upper_bound,
 )
-from innosearch.model import BISECT_EDGE, BISECT_TOL, OutOfRangeError, success_probability
+from innosearch.model import BISECT_EDGE, OutOfRangeError
+from innosearch.solver import _rhs_terms
 
 REC = CostModel.reciprocal(0.0, 1.0)
 LOG = CostModel.logarithmic(0.0, 1.0)
@@ -163,10 +166,16 @@ def test_posterior_strictly_decreasing_many_instances():
         assert np.all(np.diff(density) > 0.0)
 
 
+def success_and_survival(params, l, l_next):
+    # with zero cost the solver's period payoff R is s v, and its weight D is delta (1 - s)
+    r, d = _rhs_terms(params, l, l_next, 1.0 - l * params.p, 0.0)
+    return r / params.v, d / params.delta
+
+
 def test_success_probability_frozen_value():
     params = params_with(REC)
-    assert success_probability(params, 0.5, 0.75) == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert success_probability(params, 0.3, 0.3) == 0.0
+    assert success_and_survival(params, 0.5, 0.75)[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert success_and_survival(params, 0.3, 0.3)[0] == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,10 +187,9 @@ def test_success_probability_frozen_value():
 def test_success_complement_identity(p, x, y):
     l, l_next = min(x, y), max(x, y)
     params = params_with(REC, p=p)
-    s = success_probability(params, l, l_next)
+    s, survival = success_and_survival(params, l, l_next)
     assert 0.0 <= s < 1.0
-    survival = (1.0 - l_next * p) / (1.0 - l * p)
-    assert 1.0 - s == pytest.approx(survival, abs=1e-12)
+    assert s + survival == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------------- boundaries
@@ -253,7 +261,7 @@ def test_search_cap_is_the_last_crossing():
     params = params_with(LOG, p=0.99, v=0.2 / 0.99)
     g = lambda j: cost_density(LOG, j) * (1.0 - j * params.p) - params.p * params.v
     cap = search_upper_bound(params)
-    assert g(cap - BISECT_TOL) <= 0.0 <= g(cap + BISECT_TOL)
+    assert g(cap) <= 0.0 <= g(np.nextafter(cap, 1.0))
     assert 1.0 - cap == pytest.approx(2.06e-9, rel=1e-2)
     # above the cap every marginal project loses money: g > 0 on the whole ladder
     q = myopic_boundary(params)
@@ -261,19 +269,23 @@ def test_search_cap_is_the_last_crossing():
     assert np.all(g(ladder[ladder > cap]) > 0.0)
 
 
-def test_search_cap_with_one_crossing_is_bitwise_unchanged():
-    # where g has one root the ladder's bracket, and so the bisected cap, is the same
-    assert search_upper_bound(params_with(REC)) == 0.5857864376267296
-    assert search_upper_bound(params_with(CostModel.logarithmic(0.1, 1.0))) == 0.787700522655336
+def test_search_cap_with_one_crossing_is_the_exact_root():
+    # 2 - sqrt(2) and the root of (0.1 - log(1 - j))(1 - j/2) = 1, both from mpmath
+    # at 60 digits, are 0.58578643762690495 and 0.78770052265534510
+    rec = search_upper_bound(params_with(REC))
+    assert abs(rec - 0.585786437626905) <= math.ulp(rec)
+    log = search_upper_bound(params_with(CostModel.logarithmic(0.1, 1.0)))
+    assert abs(log - 0.7877005226553451) <= math.ulp(log)
 
 
 @pytest.mark.parametrize("cost", [CostModel.reciprocal(1.0, 1.0), CostModel.logarithmic(1.0, 1.0)])
-def test_search_cap_when_q_star_is_below_the_bisection_tolerance(cost):
-    # p v exceeds c0 by 1e-15, so q* is bisected to a point where g rounds positive
+def test_search_cap_when_search_barely_pays(cost):
+    # p v exceeds c0 by 4.4e-16, so q* is 4.4e-16 and j* lies just above it
     params = params_with(cost, v=2.000000000000001)
     g = lambda j: cost_density(cost, j) * (1.0 - j * params.p) - params.p * params.v
-    assert g(myopic_boundary(params)) > 0.0 > g(0.0)
-    assert 0.0 < search_upper_bound(params) <= BISECT_TOL
+    q, cap = myopic_boundary(params), search_upper_bound(params)
+    assert 0.0 < q < cap < 1e-14
+    assert g(cap) <= 0.0 <= g(np.nextafter(cap, 1.0))
 
 
 def test_search_cap_exceeds_myopic_boundary():
@@ -307,3 +319,38 @@ def test_model_params_validation():
         ModelParams(0.5, 2.0, 1.0, REC)
     with pytest.raises(ValueError):
         ModelParams(0.5, 2.0, 0.0, REC)
+
+
+def exact_one_shot_boundary(params):
+    """q* for the float p v as a Fraction: exact, or to 100 digits for the logarithmic exp."""
+    cost = params.cost
+    x = (Fraction(params.p * params.v) - Fraction(cost.c0)) / Fraction(cost.k)
+    if cost.family.value == "reciprocal":
+        return x / (1 + x)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        return Fraction(1 - (-Decimal(x.numerator) / Decimal(x.denominator)).exp())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["reciprocal", "logarithmic"]),
+    st.floats(0.01, 0.99),
+    st.floats(0.01, 100.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 100.0),
+)
+def test_roots_are_exact(family, p, v, share, k):
+    # c0 = share * p v reaches up to p v itself, where q* and j* sink toward 0
+    cost = CostModel(family, share * p * v, k)
+    params = params_with(cost, p=p, v=v)
+    assume(feasible_to_search(params) and p * v <= cost_density(cost, 1.0 - BISECT_EDGE))
+    q = myopic_boundary(params)
+    ref = exact_one_shot_boundary(params)
+    assert abs(Fraction(q) - ref) <= 4 * Fraction(math.ulp(float(ref)))
+    # the cap brackets a root of g to adjacent doubles, or is the edge where g <= 0 throughout
+    g = lambda j: cost_density(cost, j) * (1.0 - j * p) - p * v
+    cap = search_upper_bound(params)
+    assert q < cap
+    assert g(cap) <= 0.0
+    assert cap == 1.0 - BISECT_EDGE or g(np.nextafter(cap, 1.0)) >= 0.0

@@ -148,17 +148,24 @@ def test_fixture_regression():
 
 def test_blocked_enumeration_matches_product_loop():
     rng = np.random.default_rng(23)
+    instances = []
     for trial in range(10):
         n = int(rng.integers(2, 5))
         horizon = int(rng.integers(1, 3))
         costs = tuple(np.cumsum(rng.uniform(0.05, 0.4, size=n)))
-        instance = DiscreteInstance(
-            float(rng.uniform(0.3, 0.7)),
-            float(rng.uniform(1.0, 3.0)),
-            float(rng.uniform(0.6, 0.95)),
-            horizon,
-            costs,
+        instances.append(
+            DiscreteInstance(
+                float(rng.uniform(0.3, 0.7)),
+                float(rng.uniform(1.0, 3.0)),
+                float(rng.uniform(0.6, 0.95)),
+                horizon,
+                costs,
+            )
         )
+    # one slot: the high half of the split is empty
+    instances += [DiscreteInstance(0.5, 2.0, 0.9, horizon, (0.3,)) for horizon in (1, 2)]
+    for instance in instances:
+        n, horizon = instance.slots, instance.horizon
         value, schedule, ties = brute_force(instance)
         report = best_assignment_report(instance)
         # the two routes sum in different orders, so agreement is close, not bitwise

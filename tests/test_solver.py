@@ -40,7 +40,7 @@ from innosearch.solver import (
     _interp_stencil,
     _maximize_rows,
     _row_objective,
-    final_stage_boundary,
+    _step,
 )
 
 # frozen canonical results at grid 2048 (see conftest for the instance)
@@ -222,8 +222,11 @@ def test_single_period_is_myopic(base_params):
 
 def test_forced_second_period_boundary(base_params):
     # from l = 1/2 the closing period solves c(l') = p v / (1 - p/2) = 4/3,
-    # so l' = 4/7 for the reciprocal density
-    assert final_stage_boundary(base_params, 0.5) == pytest.approx(4.0 / 7.0, abs=1e-9)
+    # so l' = 4/7 for the reciprocal density; with zero values _step solves it
+    cap = search_upper_bound(base_params)
+    nodes = np.linspace(0.0, cap, 2048)
+    boundary = _step(base_params, cap, nodes, np.zeros(2048), 0.5)
+    assert abs(boundary - 4.0 / 7.0) <= math.ulp(4.0 / 7.0)
 
 
 def test_more_periods_always_help(base_params):
@@ -238,7 +241,7 @@ def test_final_stage_first_order_condition(base_params):
         bsol = backward_induction(base_params, truncation, SolverConfig(grid_size=2048))
         l_prev, l_last = bsol.path.boundaries[-2], bsol.path.boundaries[-1]
         resid = cost_density(base_params.cost, l_last) - p * v / (1.0 - l_prev * p)
-        assert abs(resid) < 1e-8
+        assert abs(resid) < 1e-14 * p * v
 
 
 def test_two_period_value_against_nested_closed_form(base_params):
