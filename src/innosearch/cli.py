@@ -9,8 +9,14 @@ Every command reads an optional flat key = value config file and applies
 flag overrides on top. Each RunConfig field is one flag, with the field's
 help text, parsed exactly as config-file values are; main loads the run
 config once, filling in the command's default horizon, before calling the
-command's handler. Tables are written as CSV with a JSON twin holding the
-same rows; --format svg adds charts.
+command's handler.
+
+Handlers only compute: each hands its outputs, as data, to _emit, the one
+place that applies --format and writes files. A table ({column: values}) is
+written as CSV with a JSON twin holding the same rows when csv or json is
+asked for; a JSON document (summary.json, oracle.json) is always written,
+with the instance settings added; a chart (line_chart's arguments) is drawn
+only for svg. _emit then prints the command's one-line summary.
 
 solve, simulate and sweep share one pipeline: _solve gives the instance,
 its value-iteration solution and frontier path, or None for the no-search
@@ -38,7 +44,7 @@ import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +140,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_payload(rc: RunConfig) -> Dict[str, object]:
-    return {name: getattr(rc, name) for name in INSTANCE_FIELDS}
+def _emit(
+    rc: RunConfig,
+    tables: Dict[str, Dict[str, Sequence]],
+    docs: Dict[str, Dict[str, object]],
+    charts: Dict[str, tuple],
+    message: str,
+) -> int:
+    """Write a command's outputs under rc.out as --format asks, print its summary line; EXIT_OK.
+
+    tables: name -> {column: values}, written as name.csv and name.json when
+    csv or json is asked for; numpy columns become Python scalars through
+    tolist. docs: name -> JSON document, always written, with the instance
+    settings added. charts: name -> line_chart arguments, drawn as name.svg
+    when svg is asked for.
+    """
+    fmts = rc.formats()
+    if fmts & {"csv", "json"}:
+        for name, table in tables.items():
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+            write_table(rc.out, name, list(table), list(zip(*columns)))
+    for name, doc in docs.items():
+        write_json(rc.out, name, {**{f: getattr(rc, f) for f in INSTANCE_FIELDS}, **doc})
+    if "svg" in fmts:
+        for name, args in charts.items():
+            write_svg(rc.out, name, line_chart(*args))
+    print(message)
+    return EXIT_OK
 
 
 def _solve(rc: RunConfig) -> Optional[Tuple[ModelParams, ValueSolution, FrontierPath]]:
@@ -159,113 +190,72 @@ def _headline(params: ModelParams, sol: ValueSolution, path: FrontierPath) -> Di
 
 
 def _no_search_summary(rc: RunConfig) -> int:
-    payload = _params_payload(rc)
-    payload.update(
-        {
-            "searched": False,
-            "reason": "no search optimal: p v <= c(0), the cheapest marginal project costs more than its expected prize",
-            "value_at_zero": 0.0,
-        }
+    summary = {
+        "searched": False,
+        "reason": "no search optimal: p v <= c(0), the cheapest marginal project costs more than its expected prize",
+        "value_at_zero": 0.0,
+    }
+    return _emit(
+        rc, tables={}, docs={"summary": summary}, charts={},
+        message="no search optimal: p v <= c(0); wrote summary.json",
     )
-    write_json(rc.out, "summary", payload)
-    print("no search optimal: p v <= c(0); wrote summary.json")
-    return EXIT_OK
 
 
 def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
-    fmts = rc.formats()
     solved = _solve(rc)
     if solved is None:
         return _no_search_summary(rc)
     params, sol, path = solved
     threshold = sol.activity_threshold
     activity = activity_split(path, threshold)
-
-    if fmts & {"csv", "json"}:
-        write_table(
-            rc.out,
-            "value",
-            ["l", "value", "policy"],
-            [
-                [float(l), float(w), float(a)]
-                for l, w, a in zip(sol.nodes, sol.values, sol.policy)
-            ],
-        )
-        rows = []
-        b = path.boundaries
-        inc = path.increments()
+    b = path.boundaries
+    inc = path.increments()
+    frontier = {
+        "t": range(1, rc.horizon + 1),
+        "frontier": b[1:],
+        "increment": inc,
+        "active": inc > threshold,
         # belief that a feasible project exists, entering each period
-        posterior = posterior_feasible(params, b[:-1])
-        period_cost = cost_integral(params.cost, b[:-1], b[1:])
-        for t in range(1, rc.horizon + 1):
-            resid = euler_residual(params, sol, float(b[t - 1]), l_next=float(b[t]))
-            rows.append(
-                [
-                    t,
-                    float(b[t]),
-                    float(inc[t - 1]),
-                    bool(inc[t - 1] > threshold),
-                    float(posterior[t - 1]),
-                    float(period_cost[t - 1]),
-                    resid,
-                ]
-            )
-        write_table(
-            rc.out,
-            "frontier",
-            ["t", "frontier", "increment", "active", "posterior", "period_cost", "euler_residual"],
-            rows,
-        )
-
-    summary = _params_payload(rc)
-    summary.update(
-        {
-            "searched": True,
-            **_headline(params, sol, path),
-            "last_sup_norm_change": sol.sup_norm_history[-1],
-            "grid_size": rc.grid_size,
-            "horizon": rc.horizon,
-            "activity_threshold": threshold,
-            "active_periods": activity.active_count,
-            "active_prefix_contiguous": activity.contiguous,
-            "idle_tail_max_increment": activity.tail_max,
-        }
+        "posterior": posterior_feasible(params, b[:-1]),
+        "period_cost": cost_integral(params.cost, b[:-1], b[1:]),
+        "euler_residual": [
+            euler_residual(params, sol, l, l_next=l_next) for l, l_next in zip(b[:-1].tolist(), b[1:].tolist())
+        ],
+    }
+    summary = {
+        "searched": True,
+        **_headline(params, sol, path),
+        "last_sup_norm_change": sol.sup_norm_history[-1],
+        "grid_size": rc.grid_size,
+        "horizon": rc.horizon,
+        "activity_threshold": threshold,
+        "active_periods": activity.active_count,
+        "active_prefix_contiguous": activity.contiguous,
+        "idle_tail_max_increment": activity.tail_max,
+    }
+    nodes = sol.nodes.tolist()
+    charts = {
+        "frontier": (
+            "Optimal search frontier", "period", "frontier l",
+            [("frontier path", list(range(path.horizon + 1)), b.tolist())],
+            [(sol.cap, "search cap j*"), (summary["q_star"], "one-shot boundary q*")],
+        ),
+        "value": (
+            "Value and policy", "frontier l", "value / next frontier",
+            [("value W(l)", nodes, sol.values.tolist()), ("policy l'(l)", nodes, sol.policy.tolist())],
+        ),
+    }
+    return _emit(
+        rc,
+        tables={"value": {"l": sol.nodes, "value": sol.values, "policy": sol.policy}, "frontier": frontier},
+        docs={"summary": summary},
+        charts=charts,
+        message=f"solved: W(0) = {sol.values[0]:.12g}, first boundary {b[1]:.12g}, "
+        f"{sol.iterations} sweeps, {activity.active_count} active periods of {rc.horizon}",
     )
-    write_json(rc.out, "summary", summary)
-
-    if "svg" in fmts:
-        t_axis = list(range(path.horizon + 1))
-        chart = line_chart(
-            "Optimal search frontier",
-            "period",
-            "frontier l",
-            [("frontier path", t_axis, [float(x) for x in path.boundaries])],
-            hlines=[
-                (sol.cap, "search cap j*"),
-                (summary["q_star"], "one-shot boundary q*"),
-            ],
-        )
-        write_svg(rc.out, "frontier", chart)
-        chart = line_chart(
-            "Value and policy",
-            "frontier l",
-            "value / next frontier",
-            [
-                ("value W(l)", [float(x) for x in sol.nodes], [float(x) for x in sol.values]),
-                ("policy l'(l)", [float(x) for x in sol.nodes], [float(x) for x in sol.policy]),
-            ],
-        )
-        write_svg(rc.out, "value", chart)
-
-    print(
-        f"solved: W(0) = {sol.values[0]:.12g}, first boundary {path.boundaries[1]:.12g}, "
-        f"{sol.iterations} sweeps, {activity.active_count} active periods of {rc.horizon}"
-    )
-    return EXIT_OK
 
 
 def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
-    fmts = rc.formats()
     solved = _solve(rc)
     if solved is None:
         return _no_search_summary(rc)
@@ -273,80 +263,54 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
     stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed, rc.horizon))
     periods = np.arange(1, rc.horizon + 1)
     analytic_active = active_probability_analytic(params, path, periods)
-    analytic_success = params.p * path.boundaries[1:]
-
-    if fmts & {"csv", "json"}:
-        rows = [
-            [
-                int(t),
-                float(stats.active_fraction[t - 1]),
-                float(analytic_active[t - 1]),
-                float(stats.confidence_halfwidths[t - 1]),
-                float(stats.success_fraction[t - 1]),
-                float(analytic_success[t - 1]),
-            ]
-            for t in periods
-        ]
-        write_table(
-            rc.out,
-            "simulation",
-            [
-                "t",
-                "active_fraction",
-                "active_analytic",
-                "halfwidth_3sigma",
-                "success_fraction",
-                "success_analytic",
-            ],
-            rows,
-        )
-
     w0 = float(sol.values[0])
     diff = stats.mean_discounted_payoff - w0
-    summary = _params_payload(rc)
-    summary.update(
-        {
-            "searched": True,
-            "runs": stats.runs,
-            "seed": stats.seed,
-            "horizon_cap": stats.horizon_cap,
-            "mean_discounted_payoff": stats.mean_discounted_payoff,
-            "payoff_standard_error": stats.payoff_standard_error,
-            "value_at_zero": w0,
-            "mean_minus_value": diff,
-            "z_score": diff / stats.payoff_standard_error if stats.payoff_standard_error else 0.0,
-            "final_active_fraction": float(stats.active_fraction[-1]),
-            "never_succeed_floor": 1.0 - rc.p,
-        }
+    z_score = diff / stats.payoff_standard_error if stats.payoff_standard_error else 0.0
+    simulation = {
+        "t": periods,
+        "active_fraction": stats.active_fraction,
+        "active_analytic": analytic_active,
+        "halfwidth_3sigma": stats.confidence_halfwidths,
+        "success_fraction": stats.success_fraction,
+        "success_analytic": params.p * path.boundaries[1:],
+    }
+    summary = {
+        "searched": True,
+        "runs": stats.runs,
+        "seed": stats.seed,
+        "horizon_cap": stats.horizon_cap,
+        "mean_discounted_payoff": stats.mean_discounted_payoff,
+        "payoff_standard_error": stats.payoff_standard_error,
+        "value_at_zero": w0,
+        "mean_minus_value": diff,
+        "z_score": z_score,
+        "final_active_fraction": float(stats.active_fraction[-1]),
+        "never_succeed_floor": 1.0 - rc.p,
+    }
+    chart = (
+        "Share of runs still searching", "period", "active fraction",
+        [
+            ("observed", periods.tolist(), stats.active_fraction.tolist()),
+            ("analytic 1 - p l", periods.tolist(), analytic_active.tolist()),
+        ],
+        [(1.0 - rc.p, "no-feasible-project floor 1 - p")],
     )
-    write_json(rc.out, "summary", summary)
-
-    if "svg" in fmts:
-        chart = line_chart(
-            "Share of runs still searching",
-            "period",
-            "active fraction",
-            [
-                ("observed", periods.tolist(), stats.active_fraction.tolist()),
-                ("analytic 1 - p l", periods.tolist(), analytic_active.tolist()),
-            ],
-            hlines=[(1.0 - rc.p, "no-feasible-project floor 1 - p")],
-        )
-        write_svg(rc.out, "active", chart)
-
-    print(
-        f"simulated {stats.runs} runs: mean payoff {stats.mean_discounted_payoff:.6g} "
-        f"vs W(0) {w0:.6g} (z = {summary['z_score']:.2f})"
+    return _emit(
+        rc,
+        tables={"simulation": simulation},
+        docs={"summary": summary},
+        charts={"active": chart},
+        message=f"simulated {stats.runs} runs: mean payoff {stats.mean_discounted_payoff:.6g} "
+        f"vs W(0) {w0:.6g} (z = {z_score:.2f})",
     )
-    return EXIT_OK
 
 
 def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
-    fmts = rc.formats()
     params = rc.model_params()
     instance = DiscreteInstance.from_params(params, rc.slots, rc.horizon)
     report = best_assignment_report(instance, budget=rc.budget)
     structure = structure_check(report.assignment)
+    schedule = [d if d > 0 else None for d in report.assignment.schedule]
 
     comparison = None
     if feasible_to_search(params):
@@ -358,40 +322,30 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
             "value_gap": comp.value_gap,
             "frontier_deviation": comp.frontier_deviation,
         }
-
-    if fmts & {"csv", "json"}:
-        rows = [
-            [i, (d if d > 0 else None), float(instance.slot_costs[i])]
-            for i, d in enumerate(report.assignment.schedule)
-        ]
-        write_table(rc.out, "assignment", ["slot", "period", "slot_cost"], rows)
-
-    payload = _params_payload(rc)
-    payload.update(
-        {
-            "slots": rc.slots,
-            "horizon": rc.horizon,
-            "budget": rc.budget,
-            "evaluations": report.evaluations,
-            "value": report.value,
-            "schedule": [d if d > 0 else None for d in report.assignment.schedule],
-            "tie_count": report.tie_count,
-            "structure": {
-                "no_gaps": structure.no_gaps,
-                "increasing_order": structure.increasing_order,
-                "no_breaks": structure.no_breaks,
-            },
-            "comparison": comparison,
-        }
-    )
-    write_json(rc.out, "oracle", payload)
-
+    oracle = {
+        "slots": rc.slots,
+        "horizon": rc.horizon,
+        "budget": rc.budget,
+        "evaluations": report.evaluations,
+        "value": report.value,
+        "schedule": schedule,
+        "tie_count": report.tie_count,
+        "structure": {
+            "no_gaps": structure.no_gaps,
+            "increasing_order": structure.increasing_order,
+            "no_breaks": structure.no_breaks,
+        },
+        "comparison": comparison,
+    }
     gap = f", gap {comparison['value_gap']:.3e}" if comparison else ""
-    print(
-        f"enumerated {report.evaluations} assignments: best value {report.value:.12g}, "
-        f"{report.tie_count} maximizer(s){gap}"
+    return _emit(
+        rc,
+        tables={"assignment": {"slot": range(len(schedule)), "period": schedule, "slot_cost": instance.slot_costs}},
+        docs={"oracle": oracle},
+        charts={},
+        message=f"enumerated {report.evaluations} assignments: best value {report.value:.12g}, "
+        f"{report.tie_count} maximizer(s){gap}",
     )
-    return EXIT_OK
 
 
 def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
@@ -413,7 +367,6 @@ def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
 
 
 def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
-    fmts = rc.formats()
     spec = SweepSpec.from_flags(ns.param, ns.values, ns.start, ns.stop, ns.count)
     configs = [spec.apply(rc, x) for x in spec.values]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -426,25 +379,22 @@ def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
     for x, (row, _) in zip(spec.values, points):
         row.update(parameter=spec.parameter, value=x)
     results = [row for row, _ in points]
-
-    if fmts & {"csv", "json"}:
-        write_table(rc.out, "sweep", SWEEP_COLUMNS, [list(row.values()) for row in results])
-
-    if "svg" in fmts:
-        ok = [r for r in results if r["status"] == "ok"]
-        if len(ok) >= 2:
-            chart = line_chart(
-                f"Value at the empty frontier across {spec.parameter}",
-                spec.parameter,
-                "W(0)",
-                [("W(0)", [r["value"] for r in ok], [r["value_at_zero"] for r in ok])],
-            )
-            write_svg(rc.out, "sweep", chart)
+    ok = [r for r in results if r["status"] == "ok"]
+    chart = (
+        f"Value at the empty frontier across {spec.parameter}", spec.parameter, "W(0)",
+        [("W(0)", [r["value"] for r in ok], [r["value_at_zero"] for r in ok])],
+    )
 
     failed = [(row, code) for row, code in points if row["status"] == "error"]
     for row, _ in failed:
         print(f"sweep {spec.parameter} = {row['value']}: {row['error']}", file=sys.stderr)
-    print(f"swept {spec.parameter} over {len(results)} value(s), {len(failed)} failure(s)")
+    _emit(
+        rc,
+        tables={"sweep": {c: [r[c] for r in results] for c in SWEEP_COLUMNS}},
+        docs={},
+        charts={"sweep": chart} if len(ok) >= 2 else {},
+        message=f"swept {spec.parameter} over {len(results)} value(s), {len(failed)} failure(s)",
+    )
     if len(failed) < len(results):
         return EXIT_OK
     codes = {code for _, code in failed}

@@ -206,12 +206,12 @@ def evaluate_assignment_recursive(instance: DiscreteInstance, assignment: Assign
 def _half_tables(instance: DiscreteInstance, slot_idx: np.ndarray):
     """Tabulate per-pattern period profiles for one half of the slots.
 
-    Returns (patterns, own_value, cost_disc, prior_mass, bad) where
-    own_value is the half's payoff ignoring the other half, cost_disc[t] is
-    delta^(t-1) K_t, prior_mass[t] is M_{t-1}, and bad flags patterns that
-    schedule a slot with infinite cost. Infinite costs enter the tables as 0
-    and are restored to -inf through the bad flag, which keeps the matrix
-    arithmetic free of inf * 0.
+    Returns (patterns, own_value, cost_disc, prior_mass) where own_value is
+    the half's payoff ignoring the other half, cost_disc[t] is
+    delta^(t-1) K_t and prior_mass[t] is M_{t-1}. Infinite costs enter the
+    cost tables as 0, which keeps the matrix arithmetic free of inf * 0, and
+    a pattern that schedules such a slot gets own_value -inf, which no
+    finite cross term can lift.
     """
     T = instance.horizon
     mass = 1.0 / instance.slots
@@ -228,16 +228,14 @@ def _half_tables(instance: DiscreteInstance, slot_idx: np.ndarray):
 
     masses = np.zeros((R, T))
     K = np.zeros((R, T))
-    bad = np.zeros(R, dtype=bool)
     for t in range(1, T + 1):
         sel = patterns == t
         masses[:, t - 1] = sel.sum(axis=1) * mass
         K[:, t - 1] = sel @ finite_costs
-        if infinite.any():
-            bad |= sel @ infinite
     prior = np.concatenate((np.zeros((R, 1)), np.cumsum(masses, axis=1)[:, :-1]), axis=1)
     own = (disc * (instance.p * instance.v * masses - (1.0 - instance.p * prior) * K)).sum(axis=1)
-    return patterns, own, disc * K, prior, bad
+    own[(patterns[:, infinite] > 0).any(axis=1)] = -math.inf
+    return patterns, own, disc * K, prior
 
 
 def best_assignment_report(
@@ -256,8 +254,8 @@ def best_assignment_report(
         raise BudgetExceededError(total, budget)
 
     n_hi = N // 2
-    pat_hi, own_hi, Kd_hi, prior_hi, bad_hi = _half_tables(instance, np.arange(n_hi))
-    pat_lo, own_lo, Kd_lo, prior_lo, bad_lo = _half_tables(instance, np.arange(n_hi, N))
+    pat_hi, own_hi, Kd_hi, prior_hi = _half_tables(instance, np.arange(n_hi))
+    pat_lo, own_lo, Kd_lo, prior_lo = _half_tables(instance, np.arange(n_hi, N))
     R_lo = pat_lo.shape[0]
 
     best = -math.inf
@@ -272,10 +270,6 @@ def best_assignment_report(
             + own_lo[None, :]
             + p * (Kd_hi[i0:i1] @ prior_lo.T + prior_hi[i0:i1] @ Kd_lo.T)
         )
-        if bad_hi[i0:i1].any():
-            block[bad_hi[i0:i1], :] = -math.inf
-        if bad_lo.any():
-            block[:, bad_lo] = -math.inf
         bmax = float(block.max())
         if bmax == -math.inf:
             continue

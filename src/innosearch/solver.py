@@ -630,12 +630,13 @@ def euler_residual(
     The step is half a grid cell. Near zero for interior policies; returns
     None when the policy sits too close to l or the cap for a symmetric
     difference to fit, in which case the first-order condition does not
-    apply. l_next is the policy's next frontier from l when the caller
-    already has it (a path from frontier_sequence); without it the policy
-    is maximized here.
+    apply: always so at l = cap, where a path that reaches the cap stays.
+    l_next is the policy's next frontier from l when the caller already has
+    it (a path from frontier_sequence); without it the policy is maximized
+    here.
     """
-    if not (0.0 <= l < solution.cap):
-        raise ValueError(f"frontier {l} outside [0, cap)")
+    if not (0.0 <= l <= solution.cap):
+        raise ValueError(f"frontier {l} outside [0, {solution.cap}]")
     if l_next is None:
         lp = solution.policy_at(l)
     elif l <= l_next <= solution.cap:

@@ -284,6 +284,42 @@ def test_solve_when_search_barely_pays(tmp_path, family):
     assert abs(summary["q_star"] - q_star) <= 2.0 * math.ulp(q_star)
 
 
+@pytest.mark.parametrize("family, v", [("reciprocal", "1e11"), ("logarithmic", "10")])
+def test_solve_path_reaching_the_cap(tmp_path, family, v):
+    # the frontier runs to the solver's edge j* and stays; no symmetric difference fits there
+    out = str(tmp_path / "run")
+    argv = ["solve", "--p", "0.99", "--v", v, "--cost-family", family, "--grid-size", "256", "--horizon", "20"]
+    assert main(argv + ["--out", out]) == EXIT_OK
+    j_star = read_json(out, "summary")["j_star"]
+    table = read_csv(out, "frontier")
+    frontier, euler = table[0].index("frontier"), table[0].index("euler_residual")
+    at_cap = [row for row in table[1:] if float(row[frontier]) == j_star]
+    assert len(at_cap) >= 2  # the later rows start from the cap itself
+    assert all(row[euler] == "" for row in at_cap)
+
+
+# command: (argv, JSON documents, tables, charts)
+FORMAT_RUNS = {
+    "solve": (["--horizon", "10", "--grid-size", "64"], {"summary"}, {"value", "frontier"}, {"frontier", "value"}),
+    "simulate": (["--runs", "1000", "--horizon", "10", "--grid-size", "64"], {"summary"}, {"simulation"}, {"active"}),
+    "oracle": (["--slots", "4", "--grid-size", "64"], {"oracle"}, {"assignment"}, set()),
+    "sweep": (["--param", "v", "--values", "1,2", "--horizon", "10", "--grid-size", "64"], set(), {"sweep"}, {"sweep"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_RUNS))
+def test_format_selects_tables_and_charts(tmp_path, command):
+    argv, docs, tables, charts = FORMAT_RUNS[command]
+    argv = [command] + argv
+    documents = {d + ".json" for d in docs}
+    out = str(tmp_path / "svg")
+    assert main(argv + ["--format", "svg", "--out", out]) == EXIT_OK
+    assert set(os.listdir(out)) == documents | {c + ".svg" for c in charts}
+    out = str(tmp_path / "csv")
+    assert main(argv + ["--format", "csv", "--out", out]) == EXIT_OK
+    assert set(os.listdir(out)) == documents | {t + ext for t in tables for ext in (".csv", ".json")}
+
+
 def test_oracle_single_slot(tmp_path):
     # one slot leaves the high half of the split enumeration empty
     out = str(tmp_path / "run")

@@ -164,6 +164,13 @@ def test_blocked_enumeration_matches_product_loop():
         )
     # one slot: the high half of the split is empty
     instances += [DiscreteInstance(0.5, 2.0, 0.9, horizon, (0.3,)) for horizon in (1, 2)]
+    # an infinite last slot, as in the reciprocal family's last cell; (inf,) alone leaves
+    # the high half empty and every searching pattern of the low half at -inf
+    instances += [
+        DiscreteInstance(0.5, 2.0, 0.9, horizon, costs + (math.inf,))
+        for horizon in (1, 2)
+        for costs in ((), (0.1,), (0.1, 0.25), (0.05, 0.2, 0.3))
+    ]
     for instance in instances:
         n, horizon = instance.slots, instance.horizon
         value, schedule, ties = brute_force(instance)

@@ -393,8 +393,7 @@ def test_perturbed_policy_has_larger_gradient(base_params, base_solution):
 def test_euler_not_applicable_at_boundary(base_params, base_solution):
     near_cap = base_solution.cap * (1.0 - 1e-7)
     assert euler_residual(base_params, base_solution, near_cap) is None
-    with pytest.raises(ValueError):
-        euler_residual(base_params, base_solution, base_solution.cap)
+    assert euler_residual(base_params, base_solution, base_solution.cap) is None
 
 
 # ------------------------------------------- invariants computed once per solve
