@@ -13,7 +13,8 @@ independent check on the continuum solver. The only concession to speed is
 shared arithmetic: assignments are split into a high-slot half and a
 low-slot half, per-half mass and cost profiles are tabulated once, and the
 cross terms between halves reduce to two matrix products evaluated in
-blocks. Every assignment still gets its exact value.
+blocks of BLOCK_ELEMENTS assignments. Every assignment still gets its exact
+value, with the same bits at any block size.
 
 Assignments are ordered by their mixed-radix code with slot 0 most
 significant, so numeric order coincides with lexicographic order of the
@@ -33,6 +34,8 @@ from .model import ModelParams, CostFamily, cost_integral
 from .solver import BackwardSolution
 
 DEFAULT_BUDGET = 10_000_000
+# assignments per enumeration block: two float64 buffers of this size stay in L2
+BLOCK_ELEMENTS = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -246,6 +249,11 @@ def best_assignment_report(
     Raises BudgetExceededError up front when the enumeration would exceed
     `budget` evaluations. Ties are counted at exact float equality; the
     returned maximizer is the lexicographically earliest.
+
+    Blocks of whole high-half rows, BLOCK_ELEMENTS assignments or one row if
+    a row is longer, are computed in place in two buffers allocated once, so
+    working memory is two blocks of doubles whatever the slot count. A block
+    whose maximum falls below the best so far needs no comparison pass.
     """
     N = instance.slots
     T = instance.horizon
@@ -256,30 +264,30 @@ def best_assignment_report(
     n_hi = N // 2
     pat_hi, own_hi, Kd_hi, prior_hi = _half_tables(instance, np.arange(n_hi))
     pat_lo, own_lo, Kd_lo, prior_lo = _half_tables(instance, np.arange(n_hi, N))
-    R_lo = pat_lo.shape[0]
-
+    R_hi, R_lo = pat_hi.shape[0], pat_lo.shape[0]
+    rows = min(R_hi, max(1, BLOCK_ELEMENTS // R_lo))
+    buf, tmp_buf = np.empty((rows, R_lo)), np.empty((rows, R_lo))
     best = -math.inf
     best_code = 0
     ties = 0
-    chunk = max(1, int(2_000_000 // max(R_lo, 1)))
     p = instance.p
-    for i0 in range(0, pat_hi.shape[0], chunk):
-        i1 = min(i0 + chunk, pat_hi.shape[0])
-        block = (
-            own_hi[i0:i1, None]
-            + own_lo[None, :]
-            + p * (Kd_hi[i0:i1] @ prior_lo.T + prior_hi[i0:i1] @ Kd_lo.T)
-        )
+    for i0 in range(0, R_hi, rows):
+        i1 = min(i0 + rows, R_hi)
+        block, tmp = buf[: i1 - i0], tmp_buf[: i1 - i0]
+        np.matmul(Kd_hi[i0:i1], prior_lo.T, out=block)
+        np.matmul(prior_hi[i0:i1], Kd_lo.T, out=tmp)
+        block += tmp
+        block *= p
+        np.add(own_hi[i0:i1, None], own_lo[None, :], out=tmp)
+        block += tmp
         bmax = float(block.max())
-        if bmax == -math.inf:
+        if bmax == -math.inf or bmax < best:
             continue
+        at_max = block == bmax
         if bmax > best:
-            best = bmax
-            flat = int(np.argmax(block == bmax))
-            best_code = (i0 + flat // R_lo) * R_lo + flat % R_lo
-            ties = int((block == bmax).sum())
-        elif bmax == best:
-            ties += int((block == bmax).sum())
+            best, ties = bmax, 0
+            best_code = i0 * R_lo + int(np.argmax(at_max))
+        ties += int(np.count_nonzero(at_max))
 
     hi_code, lo_code = divmod(best_code, R_lo)
     schedule = tuple(pat_hi[hi_code].tolist()) + tuple(pat_lo[lo_code].tolist())

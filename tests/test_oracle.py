@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from innosearch import (
     evaluate_assignment_recursive,
     structure_check,
 )
+from innosearch import oracle
 from innosearch.model import cost_density
 
 CANONICAL = ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0))
@@ -146,7 +148,16 @@ def test_fixture_regression():
     assert report.evaluations == 81
 
 
-def test_blocked_enumeration_matches_product_loop():
+# one high-half pattern per block, so every row boundary is a block boundary; and
+# the default block size, which holds each of these small instances in one block
+BLOCK_SIZES = pytest.mark.parametrize(
+    "block_elements", [1, oracle.BLOCK_ELEMENTS], ids=["block1", "default"]
+)
+
+
+@BLOCK_SIZES
+def test_blocked_enumeration_matches_product_loop(monkeypatch, block_elements):
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(23)
     instances = []
     for trial in range(10):
@@ -182,7 +193,9 @@ def test_blocked_enumeration_matches_product_loop():
         assert report.evaluations == (horizon + 1) ** n
 
 
-def test_exact_tie_is_counted():
+@BLOCK_SIZES
+def test_exact_tie_is_counted(monkeypatch, block_elements):
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", block_elements)
     # dyadic costs make the two plans equal in exact float arithmetic:
     # searching slot 1 in period 1 adds p m v = 1/2 and costs exactly 1/2
     instance = DiscreteInstance(0.5, 2.0, 0.9, 1, (0.25, 0.5))
@@ -191,6 +204,30 @@ def test_exact_tie_is_counted():
     assert report.tie_count == 2
     # the mixed-radix-first maximizer wins the report
     assert report.assignment.schedule == (1, 0)
+
+    # a tie of the same kind between (1, 0, 0, 0) and (1, 1, 0, 0): the maximizers sit
+    # in high-half rows (1, 0) and (1, 1), which are separate blocks at block size 1
+    instance = DiscreteInstance(0.5, 2.0, 0.9, 1, (0.125, 0.25, 0.5, 0.75))
+    report = best_assignment_report(instance)
+    assert report.value == 0.125
+    assert report.tie_count == 2
+    assert report.assignment.schedule == (1, 0, 0, 0)
+
+
+def test_enumeration_memory_is_bounded():
+    # 4^10 assignments; the block buffers, not the assignment count, set the peak
+    instance = DiscreteInstance.from_params(CANONICAL, 10, 3)
+    tracemalloc.start()
+    try:
+        report = best_assignment_report(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert report.value == 0.3260931479189796
+    assert report.tie_count == 1
+    assert report.assignment.schedule == (1, 1, 1, 1, 2, 3, 0, 0, 0, 0)
+    assert report.evaluations == 4**10
 
 
 def test_budget_guard():
