@@ -21,13 +21,9 @@ from .model import (
     search_upper_bound,
 )
 from .solver import (
-    ActivityReport,
-    BackwardSolution,
-    ContinuationReport,
     ConvergenceError,
     FrontierPath,
     SolverConfig,
-    ValueSolution,
     activity_split,
     backward_induction,
     bellman_rhs,
@@ -39,10 +35,7 @@ from .solver import (
 from .oracle import (
     Assignment,
     BudgetExceededError,
-    ComparisonReport,
     DiscreteInstance,
-    OracleReport,
-    StructureReport,
     best_assignment_report,
     compare_with_continuous,
     evaluate_assignment,
@@ -50,8 +43,6 @@ from .oracle import (
     structure_check,
 )
 from .simulate import (
-    AggregateStats,
-    PathRecord,
     SimConfig,
     active_probability_analytic,
     simulate_batch,
@@ -70,13 +61,9 @@ __all__ = [
     "myopic_boundary",
     "posterior_feasible",
     "search_upper_bound",
-    "ActivityReport",
-    "BackwardSolution",
-    "ContinuationReport",
     "ConvergenceError",
     "FrontierPath",
     "SolverConfig",
-    "ValueSolution",
     "activity_split",
     "backward_induction",
     "bellman_rhs",
@@ -86,17 +73,12 @@ __all__ = [
     "value_iteration",
     "Assignment",
     "BudgetExceededError",
-    "ComparisonReport",
     "DiscreteInstance",
-    "OracleReport",
-    "StructureReport",
     "best_assignment_report",
     "compare_with_continuous",
     "evaluate_assignment",
     "evaluate_assignment_recursive",
     "structure_check",
-    "AggregateStats",
-    "PathRecord",
     "SimConfig",
     "active_probability_analytic",
     "simulate_batch",

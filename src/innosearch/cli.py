@@ -276,9 +276,9 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
     }
     summary = {
         "searched": True,
-        "runs": stats.runs,
-        "seed": stats.seed,
-        "horizon_cap": stats.horizon_cap,
+        "runs": rc.runs,
+        "seed": rc.seed,
+        "horizon_cap": rc.horizon,
         "mean_discounted_payoff": stats.mean_discounted_payoff,
         "payoff_standard_error": stats.payoff_standard_error,
         "value_at_zero": w0,
@@ -300,7 +300,7 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
         tables={"simulation": simulation},
         docs={"summary": summary},
         charts={"active": chart},
-        message=f"simulated {stats.runs} runs: mean payoff {stats.mean_discounted_payoff:.6g} "
+        message=f"simulated {rc.runs} runs: mean payoff {stats.mean_discounted_payoff:.6g} "
         f"vs W(0) {w0:.6g} (z = {z_score:.2f})",
     )
 
@@ -309,19 +309,12 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     params = rc.model_params()
     instance = DiscreteInstance.from_params(params, rc.slots, rc.horizon)
     report = best_assignment_report(instance, budget=rc.budget)
-    structure = structure_check(report.assignment)
     schedule = [d if d > 0 else None for d in report.assignment.schedule]
 
     comparison = None
     if feasible_to_search(params):
         bsol = backward_induction(params, rc.horizon, rc.solver_config())
-        comp = compare_with_continuous(instance, bsol, budget=rc.budget, report=report)
-        comparison = {
-            "discrete_value": comp.discrete_value,
-            "continuous_value": comp.continuous_value,
-            "value_gap": comp.value_gap,
-            "frontier_deviation": comp.frontier_deviation,
-        }
+        comparison = dataclasses.asdict(compare_with_continuous(instance, bsol, report))
     oracle = {
         "slots": rc.slots,
         "horizon": rc.horizon,
@@ -330,11 +323,7 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
         "value": report.value,
         "schedule": schedule,
         "tie_count": report.tie_count,
-        "structure": {
-            "no_gaps": structure.no_gaps,
-            "increasing_order": structure.increasing_order,
-            "no_breaks": structure.no_breaks,
-        },
+        "structure": dataclasses.asdict(structure_check(report.assignment)),
         "comparison": comparison,
     }
     gap = f", gap {comparison['value_gap']:.3e}" if comparison else ""

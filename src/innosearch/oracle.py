@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -142,8 +142,6 @@ class ComparisonReport:
     continuous_value: float
     value_gap: float
     frontier_deviation: float
-    assignment: Assignment
-    tie_count: int
 
 
 def _period_profiles(instance: DiscreteInstance, schedule: np.ndarray):
@@ -317,17 +315,15 @@ def structure_check(assignment: Assignment) -> StructureReport:
 
 
 def compare_with_continuous(
-    instance: DiscreteInstance,
-    solution: BackwardSolution,
-    budget: int = DEFAULT_BUDGET,
-    report: Optional[OracleReport] = None,
+    instance: DiscreteInstance, solution: BackwardSolution, report: OracleReport
 ) -> ComparisonReport:
     """Benchmark the truncated continuum solution against the exact discrete optimum.
 
-    The discrete plan class embeds in the continuum one, so the continuum
-    value should weakly dominate, with a gap that shrinks as slots refine.
-    The frontier deviation compares cumulative searched mass after each
-    period against the continuum path boundaries.
+    report is best_assignment_report's result for instance. The discrete
+    plan class embeds in the continuum one, so the continuum value should
+    weakly dominate, with a gap that shrinks as slots refine. The frontier
+    deviation compares cumulative searched mass after each period against
+    the continuum path boundaries.
     """
     if instance.horizon != solution.truncation:
         raise ValueError(
@@ -343,17 +339,13 @@ def compare_with_continuous(
     if not same.all():
         raise ValueError("instance slot costs were not built from the solution's cost model")
 
-    if report is None:
-        report = best_assignment_report(instance, budget)
-    m, _, M_prior = _period_profiles(instance, np.asarray(report.assignment.schedule))
+    m, _, M_prior = _period_profiles(instance, _check_schedule(instance, report.assignment))
     cum_mass = M_prior + m  # searched mass through each period
     deviation = float(np.max(np.abs(cum_mass - solution.path.boundaries[1:])))
-    continuous = float(solution.values[0])
+    continuous = float(solution.stage_values[-1][0])
     return ComparisonReport(
         discrete_value=report.value,
         continuous_value=continuous,
         value_gap=continuous - report.value,
         frontier_deviation=deviation,
-        assignment=report.assignment,
-        tie_count=report.tie_count,
     )

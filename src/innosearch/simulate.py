@@ -54,12 +54,12 @@ class SimConfig:
 
 @dataclass
 class PathRecord:
-    feasible: bool
+    """One run: where the feasible project lies (None if there is none), the
+    period that finds it (None if no period up to horizon_cap does) and the
+    run's discounted payoff."""
+
     hot_project: Optional[float]
     success_period: Optional[int]
-    censored: bool
-    periods_active: int
-    per_period_intensity: np.ndarray
     discounted_payoff: float
 
 
@@ -72,9 +72,6 @@ class AggregateStats:
     period t (cumulative, the complement of staying active past t).
     """
 
-    runs: int
-    seed: int
-    horizon_cap: int
     active_fraction: np.ndarray
     success_fraction: np.ndarray
     confidence_halfwidths: np.ndarray
@@ -100,33 +97,14 @@ def _discounted_cell_costs(config: SimConfig):
 def simulate_path(config: SimConfig, rng: np.random.Generator) -> PathRecord:
     """One run from an explicit randomness source (see substream)."""
     u = rng.random(2)
-    feasible = bool(u[0] < config.params.p)
     disc, cum_cost = _discounted_cell_costs(config)
     b = config.path.boundaries[: config.horizon_cap + 1]
-    intensity = np.diff(b)
-    location = float(u[1]) if feasible else None
+    location = float(u[1]) if u[0] < config.params.p else None
     # first period whose interval contains the location; past the cap counts as none
-    tau = int(np.searchsorted(b, location, side="right")) if feasible else 0
-    if 0 < tau <= config.horizon_cap:
-        payoff = config.params.v * disc[tau - 1] - cum_cost[tau - 1]
-        return PathRecord(
-            feasible=True,
-            hot_project=location,
-            success_period=tau,
-            censored=False,
-            periods_active=tau,
-            per_period_intensity=intensity[:tau],
-            discounted_payoff=float(payoff),
-        )
-    return PathRecord(
-        feasible=feasible,
-        hot_project=location,
-        success_period=None,
-        censored=True,
-        periods_active=config.horizon_cap,
-        per_period_intensity=intensity,
-        discounted_payoff=float(-cum_cost[-1]),
-    )
+    tau = int(np.searchsorted(b, location, side="right")) if location is not None else 0
+    found = 0 < tau <= config.horizon_cap
+    payoff = config.params.v * disc[tau - 1] - cum_cost[tau - 1] if found else -cum_cost[-1]
+    return PathRecord(location, tau if found else None, float(payoff))
 
 
 def simulate_batch(config: SimConfig) -> AggregateStats:
@@ -149,9 +127,6 @@ def simulate_batch(config: SimConfig) -> AggregateStats:
     mean = float(weights @ payoffs / runs)
     variance = float(weights @ (payoffs - mean) ** 2 / (runs - 1)) if runs > 1 else 0.0
     return AggregateStats(
-        runs=runs,
-        seed=config.seed,
-        horizon_cap=config.horizon_cap,
         active_fraction=active_fraction,
         success_fraction=success_fraction,
         confidence_halfwidths=halfwidths,

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,7 +129,6 @@ class FrontierPath:
 class ActivityReport:
     """Split of a path's increments into an active prefix and a numerically idle tail."""
 
-    threshold: float
     active_count: int
     contiguous: bool
     tail_max: float
@@ -137,7 +136,6 @@ class ActivityReport:
 
 @dataclass
 class ContinuationReport:
-    candidate: float
     lhs: float
     rhs: float
     violated: bool
@@ -146,7 +144,6 @@ class ContinuationReport:
 @dataclass
 class ValueSolution:
     params: ModelParams
-    config: SolverConfig
     cap: float
     nodes: np.ndarray
     values: np.ndarray
@@ -174,10 +171,21 @@ class ValueSolution:
 
 
 @dataclass
-class BackwardSolution(ValueSolution):
-    truncation: int = 0
-    stage_values: List[np.ndarray] = field(default_factory=list)
-    path: Optional[FrontierPath] = None
+class BackwardSolution:
+    """The problem truncated to path.horizon periods of search.
+
+    stage_values[k] is the value function on nodes with k periods left
+    (stage_values[0] = 0), and path the optimal frontier path from l = 0.
+    """
+
+    params: ModelParams
+    nodes: np.ndarray
+    stage_values: List[np.ndarray]
+    path: FrontierPath
+
+    @property
+    def truncation(self) -> int:
+        return self.path.horizon
 
 
 def bellman_rhs(
@@ -418,11 +426,11 @@ def _bracket_maximizers(
 
 
 def _step(params: ModelParams, cap: float, nodes: np.ndarray, values: np.ndarray, l: float) -> float:
-    """Maximizer of the Bellman objective at the exact state l given values, clamped to [l, cap]."""
+    """Maximizer of the Bellman objective at the exact state l given values; it lies in [l, cap]."""
     rows = np.array([l])
     terms = _coarse_terms(params, rows, cap, nodes)
     arg, _ = _maximize_rows(params, rows, cap, nodes, values, terms)
-    return float(min(max(arg[0], l), cap))
+    return float(arg[0])
 
 
 def _stop_threshold(params: ModelParams) -> float:
@@ -496,7 +504,6 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
     history.append(diff)
     return ValueSolution(
         params=params,
-        config=config,
         cap=cap,
         nodes=nodes,
         values=values,
@@ -523,37 +530,21 @@ def backward_induction(
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     cap, nodes, sweeps = _bellman_sweeps(params, config, 0)
     stage_values = [np.zeros(config.grid_size)]
-    history: List[float] = []
-    for policy, values, diff in itertools.islice(sweeps, truncation):
-        stage_values.append(values)
-        history.append(diff)
+    stage_values += [values for _, values, _ in itertools.islice(sweeps, truncation)]
 
     boundaries = np.zeros(truncation + 1)
     l = 0.0
     for t in range(1, truncation + 1):
         l = _step(params, cap, nodes, stage_values[truncation - t], l)
         boundaries[t] = l
-
-    return BackwardSolution(
-        params=params,
-        config=config,
-        cap=cap,
-        nodes=nodes,
-        values=stage_values[-1],
-        policy=policy,
-        iterations=truncation,
-        sup_norm_history=history,
-        truncation=truncation,
-        stage_values=stage_values,
-        path=FrontierPath(boundaries, truncation),
-    )
+    return BackwardSolution(params, nodes, stage_values, FrontierPath(boundaries, truncation))
 
 
 def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
     """Forward-simulate the optimal frontier from l = 0 for `horizon` periods.
 
     Each step re-maximizes at the exact current state rather than snapping to
-    the grid, and clamps to [l, cap] so increments are never negative. Late
+    the grid, over [l, cap], so increments are never negative. Late
     increments shrink geometrically and eventually fall below the solver's
     resolution; activity_split separates the economically active prefix from
     that numerically idle tail. Once a step returns its own state, the policy
@@ -582,7 +573,6 @@ def activity_split(path: FrontierPath, threshold: float) -> ActivityReport:
     tail = inc[active:]
     tail_max = float(tail.max()) if len(tail) else 0.0
     return ActivityReport(
-        threshold=threshold,
         active_count=active,
         contiguous=not bool((tail > threshold).any()),
         tail_max=tail_max,
@@ -603,8 +593,8 @@ def continuation_inequality_check(
         c(l_last) / c(l_c)  >=  (1 - l_last p) / (1 - l_prev p),
 
     which always happens for l_c close enough to l_last: the left side tends
-    to 1 while the right side stays strictly below it. Each report carries
-    both sides so callers can see the margin.
+    to 1 while the right side stays strictly below it. One report per
+    candidate, in order; each carries both sides so callers can see the margin.
     """
     if not (0.0 <= l_prev < l_last < 1.0):
         raise ValueError("need 0 <= l_prev < l_last < 1")
@@ -615,7 +605,7 @@ def continuation_inequality_check(
         if not (l_last < cand < 1.0):
             raise ValueError(f"candidate {cand} must lie in (l_last, 1)")
         lhs = c_last / cost_density(params.cost, cand)
-        reports.append(ContinuationReport(candidate=float(cand), lhs=float(lhs), rhs=float(rhs), violated=bool(lhs >= rhs)))
+        reports.append(ContinuationReport(lhs=float(lhs), rhs=float(rhs), violated=bool(lhs >= rhs)))
     return reports
 
 

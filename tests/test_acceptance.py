@@ -53,8 +53,8 @@ def mc_batches():
     for i, params in enumerate(sample_instances(20260817, 20)[:5]):
         sol = value_iteration(params, SOLVER)
         path = frontier_sequence(sol, 200)
-        stats = simulate_batch(SimConfig(params, path, 100_000, 1000 + i, 200))
-        out.append((params, sol, path, stats))
+        config = SimConfig(params, path, 100_000, 1000 + i, 200)
+        out.append((params, sol, config, simulate_batch(config)))
     return out
 
 
@@ -194,10 +194,10 @@ def test_acceptance_4_truncation_never_optimal(capsys, base_params):
         l_prev, l_last = float(boundaries[-2]), float(boundaries[-1])
         candidates = [l_last + 1e-3 * f for f in (0.1, 0.5, 1.0)]
         checks = continuation_inequality_check(base_params, l_prev, l_last, candidates)
-        for chk in checks:
+        for candidate, chk in zip(candidates, checks):
             if not chk.violated:
                 failures.append(
-                    f"T={horizon}: no violation at candidate {chk.candidate:.6f}"
+                    f"T={horizon}: no violation at candidate {candidate:.6f}"
                 )
         gain = float(longer.stage_values[horizon + 1][0]) - float(
             shorter.stage_values[horizon][0]
@@ -218,9 +218,9 @@ def test_acceptance_5_active_share_tracks_analytic(capsys, mc_batches):
     of 1 - p l and never dips below the 1 - p floor by more than that band."""
     failures = []
     worst_z = 0.0
-    for idx, (params, sol, path, stats) in enumerate(mc_batches):
-        analytic = 1.0 - params.p * np.asarray(path.boundaries[:-1], dtype=float)
-        sigma = np.sqrt(analytic * (1.0 - analytic) / stats.runs)
+    for idx, (params, sol, config, stats) in enumerate(mc_batches):
+        analytic = 1.0 - params.p * np.asarray(config.path.boundaries[:-1], dtype=float)
+        sigma = np.sqrt(analytic * (1.0 - analytic) / config.runs)
         band = 3.0 * sigma + 1e-12
         err = np.abs(stats.active_fraction - analytic)
         if np.any(err > band):
@@ -248,7 +248,8 @@ def test_acceptance_6_discretization_converges(capsys, base_params):
     gaps, deviations = [], []
     for n in (4, 8, 16):
         instance = DiscreteInstance.from_params(base_params, n, 2)
-        comp = compare_with_continuous(instance, bsol, budget=50_000_000)
+        rep = best_assignment_report(instance, budget=50_000_000)
+        comp = compare_with_continuous(instance, bsol, rep)
         gaps.append(comp.value_gap)
         deviations.append(comp.frontier_deviation)
         if comp.value_gap < -1e-9:
@@ -323,7 +324,7 @@ def test_acceptance_8_payoffs_match_value(capsys, mc_batches):
     three standard errors on every instance."""
     failures = []
     worst_z = 0.0
-    for idx, (params, sol, path, stats) in enumerate(mc_batches):
+    for idx, (params, sol, config, stats) in enumerate(mc_batches):
         w0 = float(sol.values[0])
         z = (stats.mean_discounted_payoff - w0) / stats.payoff_standard_error
         worst_z = max(worst_z, abs(z))

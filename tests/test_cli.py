@@ -123,6 +123,52 @@ def test_bad_config_key_reports_location(tmp_path, capsys):
     assert "unknown key 'spee'" in err and ":2:" in err
 
 
+INSTANCE_KEYS = {"p", "v", "delta", "cost_family", "c0", "k"}
+SOLVE_KEYS = INSTANCE_KEYS | {
+    "searched", "value_at_zero", "first_boundary", "q_star", "j_star", "iterations",
+    "last_sup_norm_change", "grid_size", "horizon", "activity_threshold", "active_periods",
+    "active_prefix_contiguous", "idle_tail_max_increment",
+}
+SIMULATE_KEYS = INSTANCE_KEYS | {
+    "searched", "runs", "seed", "horizon_cap", "mean_discounted_payoff", "payoff_standard_error",
+    "value_at_zero", "mean_minus_value", "z_score", "final_active_fraction", "never_succeed_floor",
+}
+NO_SEARCH_KEYS = INSTANCE_KEYS | {"searched", "reason", "value_at_zero"}
+ORACLE_KEYS = INSTANCE_KEYS | {
+    "slots", "horizon", "budget", "evaluations", "value", "schedule", "tie_count", "structure", "comparison",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["solve", "--grid-size", "128", "--horizon", "20"], SOLVE_KEYS),
+        (["simulate", "--grid-size", "128", "--horizon", "20", "--runs", "100"], SIMULATE_KEYS),
+        (["solve", "--c0", "5"], NO_SEARCH_KEYS),
+        (["simulate", "--c0", "5"], NO_SEARCH_KEYS),
+    ],
+)
+def test_summary_keys(tmp_path, argv, keys):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == EXIT_OK
+    assert set(read_json(out, "summary")) == keys
+
+
+def test_oracle_document_keys(tmp_path):
+    searched, unsearched = str(tmp_path / "searched"), str(tmp_path / "unsearched")
+    assert main(["oracle", "--grid-size", "128", "--slots", "4", "--horizon", "2", "--out", searched]) == EXIT_OK
+    argv = ["oracle", "--p", "0.1", "--v", "1", "--c0", "0.5", "--slots", "3", "--horizon", "2"]
+    assert main(argv + ["--out", unsearched]) == EXIT_OK
+    for out in (searched, unsearched):
+        doc = read_json(out, "oracle")
+        assert set(doc) == ORACLE_KEYS
+        assert set(doc["structure"]) == {"no_gaps", "increasing_order", "no_breaks"}
+    comparison = read_json(searched, "oracle")["comparison"]
+    assert set(comparison) == {"discrete_value", "continuous_value", "value_gap", "frontier_deviation"}
+    # p v <= c(0): no continuum solution to compare with
+    assert read_json(unsearched, "oracle")["comparison"] is None
+
+
 def test_oracle_canonical(tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["oracle", "--out", out, "--slots", "4", "--horizon", "2"])

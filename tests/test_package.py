@@ -1,0 +1,35 @@
+import re
+from pathlib import Path
+
+import innosearch
+
+PUBLIC_NAMES = [
+    "__version__",
+    "CostFamily", "CostModel", "ModelParams", "cost_density", "cost_integral",
+    "feasible_to_search", "myopic_boundary", "posterior_feasible", "search_upper_bound",
+    "ConvergenceError", "FrontierPath", "SolverConfig", "activity_split", "backward_induction",
+    "bellman_rhs", "continuation_inequality_check", "euler_residual", "frontier_sequence",
+    "value_iteration",
+    "Assignment", "BudgetExceededError", "DiscreteInstance", "best_assignment_report",
+    "compare_with_continuous", "evaluate_assignment", "evaluate_assignment_recursive",
+    "structure_check",
+    "SimConfig", "active_probability_analytic", "simulate_batch", "simulate_path", "substream",
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_public_surface_is_pinned():
+    assert innosearch.__all__ == PUBLIC_NAMES
+    assert len(set(innosearch.__all__)) == len(innosearch.__all__)
+    for name in innosearch.__all__:
+        assert hasattr(innosearch, name), name
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(block, str(README), "exec"), scope)
+    assert scope["comparison"].value_gap >= -1e-9

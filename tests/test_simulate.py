@@ -29,10 +29,10 @@ def collect_records(config):
     return [simulate_path(config, substream(config.seed, i)) for i in range(config.runs)]
 
 
-def batch_counts(result):
-    """Runs succeeding in each period 1..cap, then runs never succeeding, from a batch."""
-    succ = np.diff((result.success_fraction * result.runs).round().astype(int), prepend=0)
-    return np.append(succ, result.runs - succ.sum())
+def batch_counts(result, runs):
+    """Runs succeeding in each period 1..cap, then runs never succeeding, from a batch of runs."""
+    succ = np.diff((result.success_fraction * runs).round().astype(int), prepend=0)
+    return np.append(succ, runs - succ.sum())
 
 
 def path_counts(records, cap):
@@ -46,7 +46,7 @@ def test_batch_and_per_run_histograms_share_one_law():
     # the batch no longer replays simulate_path's per-run streams, so the two
     # samplers are checked against the exact cell probabilities and each other
     config = tiny_config(runs=3000, seed=2024)
-    batch = batch_counts(simulate_batch(config))
+    batch = batch_counts(simulate_batch(config), config.runs)
     per_run = path_counts(collect_records(config), config.horizon_cap)
     p, b = config.params.p, TINY_PATH.boundaries
     exact = np.append(p * np.diff(b), 1.0 - p * b[-1])
@@ -68,7 +68,7 @@ def test_batch_moments_are_exact_in_the_counts():
         -(cost1 + params.delta * cost2),
     ])
     result = simulate_batch(config)
-    sample = np.repeat(by_hand, batch_counts(result))
+    sample = np.repeat(by_hand, batch_counts(result, config.runs))
     assert result.mean_discounted_payoff == pytest.approx(sample.mean(), abs=1e-15)
     se = sample.std(ddof=1) / np.sqrt(config.runs)
     assert result.payoff_standard_error == pytest.approx(se, abs=1e-15)
@@ -107,24 +107,15 @@ def test_record_semantics():
     seen_censored_feasible = seen_success = seen_infeasible = False
     for r in collect_records(config):
         if r.success_period is None:
-            assert r.censored
-            assert r.periods_active == config.horizon_cap
-            assert len(r.per_period_intensity) == config.horizon_cap
-            if r.feasible:
+            if r.hot_project is not None:
                 assert r.hot_project > b[-1]
                 seen_censored_feasible = True
             else:
-                assert r.hot_project is None
                 seen_infeasible = True
         else:
-            assert not r.censored
-            assert r.feasible
             tau = r.success_period
             assert b[tau - 1] < r.hot_project <= b[tau]
-            assert r.periods_active == tau
-            assert len(r.per_period_intensity) == tau
             seen_success = True
-        assert np.all(r.per_period_intensity >= 0.0)
     assert seen_censored_feasible and seen_success and seen_infeasible
 
 
@@ -158,10 +149,11 @@ def test_analytic_active_probability():
 
 
 def test_aggregate_tracks_analytic(base_params, base_path):
-    stats = simulate_batch(SimConfig(base_params, base_path, 20_000, 99, 50))
+    config = SimConfig(base_params, base_path, 20_000, 99, 50)
+    stats = simulate_batch(config)
     t = np.arange(1, 51)
     analytic = active_probability_analytic(base_params, base_path, t)
-    sigma = np.sqrt(analytic * (1.0 - analytic) / stats.runs)
+    sigma = np.sqrt(analytic * (1.0 - analytic) / config.runs)
     assert np.all(np.abs(stats.active_fraction - analytic) <= 3.0 * sigma + 1e-12)
     # nobody without a feasible project ever leaves
     assert np.all(stats.active_fraction >= 1.0 - base_params.p - 1e-12)
@@ -198,7 +190,6 @@ def test_config_validation(base_path):
 def test_run_count_is_bounded_by_the_multinomial():
     params = tiny_config().params
     largest = simulate_batch(SimConfig(params, TINY_PATH, MAX_RUNS, 1, 2))
-    assert largest.runs == 2**63 - 1
     assert largest.success_fraction == pytest.approx([0.15, 0.25], abs=1e-9)
     with pytest.raises(ValueError, match=str(MAX_RUNS)):
         SimConfig(params, TINY_PATH, MAX_RUNS + 1, 1, 2)

@@ -98,7 +98,8 @@ def test_agreement_with_long_truncated_horizon(base_params, base_solution):
     # zero on a finer grid; the tail the truncation drops is worth < 1e-9
     truncated = backward_induction(base_params, 500, SolverConfig(grid_size=4096))
     probes = np.linspace(0.0, base_solution.cap * 0.99, 23)
-    gap = np.max(np.abs(base_solution.value_at(probes) - truncated.value_at(probes)))
+    truncated_values = np.interp(probes, truncated.nodes, truncated.stage_values[-1])
+    gap = np.max(np.abs(base_solution.value_at(probes) - truncated_values))
     assert gap < 1e-4
 
 
@@ -164,11 +165,11 @@ def test_max_iters_boundary(base_params, base_solution, monkeypatch):
     threshold = TOL * base_params.p * base_params.v
     k = next(i + 1 for i, d in enumerate(base_solution.sup_norm_history) if d < threshold)
     monkeypatch.setattr(solver, "MAX_SWEEPS", k)
-    sol = value_iteration(base_params, base_solution.config)
+    sol = value_iteration(base_params, SolverConfig(grid_size=2048))
     assert sol.iterations == k + 1
     monkeypatch.setattr(solver, "MAX_SWEEPS", k - 1)
     with pytest.raises(ConvergenceError) as err:
-        value_iteration(base_params, base_solution.config)
+        value_iteration(base_params, SolverConfig(grid_size=2048))
     assert len(err.value.history) == k - 1
 
 
@@ -283,7 +284,7 @@ def test_backward_stages_are_value_iteration_sweeps(which, base_params, log_para
     for stage in bsol.stage_values[1:]:
         _, values = _maximize_rows(params, nodes, cap, nodes, values, terms)
         assert _same_bits(stage, values)
-    assert value_iteration(params, config).sup_norm_history[0] == bsol.sup_norm_history[0]
+    assert value_iteration(params, config).sup_norm_history[0] == np.max(np.abs(bsol.stage_values[1]))
 
 
 @pytest.mark.parametrize("which", ["base", "log"])
@@ -293,7 +294,7 @@ def test_value_iteration_reaches_pure_sweep_fixed_point(which, base_params, log_
     params = base_params if which == "base" else log_params
     config = SolverConfig(grid_size=512)
     bsol = backward_induction(params, 60, config)
-    assert bsol.sup_norm_history[-1] < 1e-13
+    assert np.max(np.abs(bsol.stage_values[-1] - bsol.stage_values[-2])) < 1e-13
     sol = value_iteration(params, config)
     assert np.max(np.abs(sol.values - bsol.stage_values[-1])) < 1e-12
 
