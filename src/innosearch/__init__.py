@@ -32,6 +32,7 @@ from .solver import (
     frontier_sequence,
     value_iteration,
 )
+from .foc import optimal_path
 from .oracle import (
     Assignment,
     BudgetExceededError,
@@ -71,6 +72,7 @@ __all__ = [
     "euler_residual",
     "frontier_sequence",
     "value_iteration",
+    "optimal_path",
     "Assignment",
     "BudgetExceededError",
     "DiscreteInstance",

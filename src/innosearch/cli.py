@@ -18,10 +18,12 @@ asked for; a JSON document (summary.json, oracle.json) is always written,
 with the instance settings added; a chart (line_chart's arguments) is drawn
 only for svg. _emit then prints the command's one-line summary.
 
-solve, simulate and sweep share one pipeline: _solve gives the instance,
-its value-iteration solution and frontier path, or None for the no-search
-verdict p v <= c(0), and _headline the numbers summary.json and a sweep row
-share. The verdict is a success (exit 0).
+solve, simulate and sweep share one pipeline: _solve gives the instance and
+its optimal path by reverse shooting on the first-order condition (foc), or
+None for the no-search verdict p v <= c(0), and _headline the numbers
+summary.json and a sweep row share. The verdict is a success (exit 0). Only
+solve runs value iteration: on its --grid-size grid, for the value table and
+chart and as a cross-check of the path.
 
 FAILURES is the one exit-code policy, first matching row wins: 2 configuration
 or validation error, 3 solver did not converge, 4 enumeration budget
@@ -50,6 +52,7 @@ import numpy as np
 
 from . import __version__
 from .config import SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSpec, load_run_config
+from .foc import ShootingSolution, optimal_path
 from .model import (
     ModelParams,
     OutOfRangeError,
@@ -57,6 +60,7 @@ from .model import (
     feasible_to_search,
     myopic_boundary,
     posterior_feasible,
+    search_upper_bound,
 )
 from .oracle import (
     BudgetExceededError,
@@ -69,8 +73,6 @@ from .output import line_chart, write_json, write_svg, write_table
 from .simulate import SimConfig, active_probability_analytic, simulate_batch
 from .solver import (
     ConvergenceError,
-    FrontierPath,
-    ValueSolution,
     activity_split,
     backward_induction,
     euler_residual,
@@ -103,7 +105,7 @@ INSTANCE_FIELDS = ("p", "v", "delta", "cost_family", "c0", "k")
 
 SWEEP_COLUMNS = (
     "parameter", "value", "status", "value_at_zero", "first_boundary",
-    "l_inf", "q_star", "j_star", "iterations", "error",
+    "l_inf", "q_star", "j_star", "error",
 )
 
 
@@ -169,23 +171,21 @@ def _emit(
     return EXIT_OK
 
 
-def _solve(rc: RunConfig) -> Optional[Tuple[ModelParams, ValueSolution, FrontierPath]]:
-    """The run's instance, its solution and its frontier path; None when p v <= c(0)."""
+def _solve(rc: RunConfig) -> Optional[Tuple[ModelParams, ShootingSolution]]:
+    """The run's instance and its optimal path over rc.horizon periods; None when p v <= c(0)."""
     params = rc.model_params()
     if not feasible_to_search(params):
         return None
-    sol = value_iteration(params, rc.solver_config())
-    return params, sol, frontier_sequence(sol, rc.horizon)
+    return params, optimal_path(params, rc.horizon)
 
 
-def _headline(params: ModelParams, sol: ValueSolution, path: FrontierPath) -> Dict[str, object]:
+def _headline(params: ModelParams, shot: ShootingSolution) -> Dict[str, object]:
     """The numbers a solved run reports in summary.json and in its sweep row."""
     return {
-        "value_at_zero": float(sol.values[0]),
-        "first_boundary": float(path.boundaries[1]),
+        "value_at_zero": shot.value,
+        "first_boundary": float(shot.path.boundaries[1]),
         "q_star": myopic_boundary(params),
-        "j_star": sol.cap,
-        "iterations": sol.iterations,
+        "j_star": search_upper_bound(params),
     }
 
 
@@ -205,7 +205,10 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     solved = _solve(rc)
     if solved is None:
         return _no_search_summary(rc)
-    params, sol, path = solved
+    params, shot = solved
+    path = shot.path
+    sol = value_iteration(params, rc.solver_config())
+    grid_path = frontier_sequence(sol, rc.horizon)
     threshold = sol.activity_threshold
     activity = activity_split(path, threshold)
     b = path.boundaries
@@ -224,7 +227,13 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     }
     summary = {
         "searched": True,
-        **_headline(params, sol, path),
+        **_headline(params, shot),
+        "limit_frontier": shot.limit,
+        "tail_rate": shot.tail_rate,
+        "never_find_probability": 1.0 - params.p * shot.limit,
+        "grid_value_at_zero": float(sol.values[0]),
+        "grid_path_gap": float(np.max(np.abs(grid_path.boundaries - b))),
+        "iterations": sol.iterations,
         "last_sup_norm_change": sol.sup_norm_history[-1],
         "grid_size": rc.grid_size,
         "horizon": rc.horizon,
@@ -250,7 +259,7 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
         tables={"value": {"l": sol.nodes, "value": sol.values, "policy": sol.policy}, "frontier": frontier},
         docs={"summary": summary},
         charts=charts,
-        message=f"solved: W(0) = {sol.values[0]:.12g}, first boundary {b[1]:.12g}, "
+        message=f"solved: W(0) = {shot.value:.12g}, first boundary {b[1]:.12g}, "
         f"{sol.iterations} sweeps, {activity.active_count} active periods of {rc.horizon}",
     )
 
@@ -259,11 +268,12 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
     solved = _solve(rc)
     if solved is None:
         return _no_search_summary(rc)
-    params, sol, path = solved
+    params, shot = solved
+    path = shot.path
     stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed, rc.horizon))
     periods = np.arange(1, rc.horizon + 1)
     analytic_active = active_probability_analytic(params, path, periods)
-    w0 = float(sol.values[0])
+    w0 = shot.value
     diff = stats.mean_discounted_payoff - w0
     z_score = diff / stats.payoff_standard_error if stats.payoff_standard_error else 0.0
     simulation = {
@@ -348,7 +358,7 @@ def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
         if solved is None:
             row.update(status="no-search", value_at_zero=0.0)
         else:
-            row.update(status="ok", l_inf=float(solved[2].boundaries[-1]), **_headline(*solved))
+            row.update(status="ok", l_inf=float(solved[1].path.boundaries[-1]), **_headline(*solved))
     except Exception as e:  # noqa: BLE001 - workers report, the parent decides
         row.update(status="error", error=f"{type(e).__name__}: {e}")
         return row, _failure(e)[0]

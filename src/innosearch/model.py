@@ -25,10 +25,11 @@ to 1; the logarithmic one is.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +38,8 @@ ArrayLike = Union[float, np.ndarray]
 # The solver's range ends this far short of j = 1: no boundary above
 # 1 - BISECT_EDGE is represented.
 BISECT_EDGE = 1e-12
+# Decimal digits in which the sign of g(j) = c(j)(1 - jp) - p v is decided at a root.
+EXACT_DIGITS = 40
 
 
 class OutOfRangeError(ValueError):
@@ -220,6 +223,87 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
     return -math.expm1(-x)
 
 
+def _marginal_excess(params: ModelParams) -> Callable[[ArrayLike], np.ndarray]:
+    """g(j) = c(j)(1 - jp) - p v, written as k phi(j) - x - j p c(j) with x = p v - c0.
+
+    x is taken once, so a c0 close to p v cancels exactly there and not in
+    every evaluation of g: near a root the three terms keep their relative
+    precision, and so does the root.
+    """
+    cost, p = params.cost, params.p
+    x = p * params.v - cost.c0
+
+    def g(j):
+        j = np.asarray(j, dtype=float)
+        k_phi = cost.k * j / (1.0 - j) if cost.family is CostFamily.RECIPROCAL else -cost.k * np.log1p(-j)
+        return k_phi - x - j * p * (cost.c0 + k_phi)
+
+    return g
+
+
+def _excess_is_positive(params: ModelParams, j: float) -> bool:
+    """Whether g(j) = c(j)(1 - jp) - p v > 0, decided in EXACT_DIGITS-digit decimals.
+
+    The doubles j, p, c0, k and the double p v are taken as exact, so for
+    every double j the sign is g's own, not its rounding noise's.
+    """
+    cost = params.cost
+    with decimal.localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        jd, p, c0, k = (decimal.Decimal(z) for z in (j, params.p, cost.c0, cost.k))
+        x = decimal.Decimal(params.p * params.v) - c0
+        phi = jd / (1 - jd) if cost.family is CostFamily.RECIPROCAL else -(1 - jd).ln()
+        return k * phi * (1 - jd * p) - x - jd * p * c0 > 0
+
+
+def _settle(positive: Callable[[float], bool], root: float) -> float:
+    """A double lo near root with positive(lo) false and positive(next double) true.
+
+    Bisects from the smallest bracket about root whose ends positive
+    confirms, widened in doubling steps within [0, 1 - BISECT_EDGE]. When
+    positive changes sign once near root, that change is the result,
+    wherever near it root was.
+    """
+    edge = 1.0 - BISECT_EDGE
+    lo, hi = root, math.nextafter(root, 1.0)
+    step = math.ulp(root)
+    while positive(lo) and lo > 0.0:
+        lo, step = max(root - step, 0.0), 2.0 * step
+    step = math.ulp(root)
+    while not positive(hi) and hi < edge:
+        hi, step = min(root + step, edge), 2.0 * step
+    return _bisect_increasing(lambda j: 1.0 if positive(j) else 0.0, lo, hi)
+
+
+def _limit_candidates(params: ModelParams) -> Tuple[float, ...]:
+    """Every upward crossing of g = c(j)(1 - jp) - p v above q*, in increasing order,
+    then the edge 1 - BISECT_EDGE if g <= 0 there; () when p v <= c(0).
+
+    The crossings are found on a geometric ladder from q*, where g = -q* p (p v) < 0,
+    to the edge, each bisected to adjacent doubles with _marginal_excess between its
+    ladder point with g <= 0 and the next one, where g > 0, and then settled on the
+    sign change of g itself (_excess_is_positive): the largest double at or below
+    the root. When q* is tiny, g(q*) can round positive; the ladder then starts at
+    0, where g = c0 - p v < 0 since searching is feasible. Two crossings between
+    neighbouring ladder points are not seen.
+    """
+    q = myopic_boundary(params)
+    if q is None:
+        return ()
+    g = _marginal_excess(params)
+    hi = 1.0 - BISECT_EDGE
+    gap = 1.0 - q
+    ladder = np.append(1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200), hi)
+    ladder[0] = q if g(q) <= 0.0 else 0.0
+    signs = g(ladder) > 0.0
+    signs[0] = False
+    roots = tuple(
+        _settle(lambda j: _excess_is_positive(params, j), _bisect_increasing(g, float(ladder[i]), float(ladder[i + 1])))
+        for i in np.flatnonzero(~signs[:-1] & signs[1:])
+    )
+    return roots if signs[-1] else roots + (hi,)
+
+
 def search_upper_bound(params: ModelParams) -> Optional[float]:
     """Largest frontier any optimal plan can reach: the last root of c(j)(1 - jp) = p v.
 
@@ -231,23 +315,20 @@ def search_upper_bound(params: ModelParams) -> Optional[float]:
     that could be profitable. If no crossing occurs below 1 - BISECT_EDGE the
     edge itself is returned.
 
+    The crossing is _limit_candidates' last, exact to the double below it.
+    The cap is then the sign change nearest it of the equation evaluated as
+    written in floating point, c(j)(1 - jp) - p v; where c0 is close to p v
+    that form is noisy across many doubles about the root, so the cap can
+    differ from the root by that noise, but it depends on the root alone.
+
     Returns None when searching is infeasible outright (p v <= c(0)).
     """
-    q = myopic_boundary(params)
-    if q is None:
-        return None
+    return _cap_of(params, _limit_candidates(params))
+
+
+def _cap_of(params: ModelParams, candidates: Tuple[float, ...]) -> Optional[float]:
+    """search_upper_bound, given _limit_candidates(params)."""
+    if not candidates or candidates[-1] == 1.0 - BISECT_EDGE:
+        return candidates[-1] if candidates else None
     pv = params.p * params.v
-    g = lambda j: cost_density(params.cost, j) * (1.0 - j * params.p) - pv
-    hi = 1.0 - BISECT_EDGE
-    if g(hi) <= 0.0:
-        return hi
-    # geometric ladder from q*, where g = -q* p (p v) < 0, to the edge, where g > 0;
-    # bisect between its last point with g <= 0 and the next. When q* is tiny,
-    # g(q*) can round positive; the ladder then starts at 0, where
-    # g = c0 - p v < 0 since searching is feasible.
-    gap = 1.0 - q
-    ladder = np.append(1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200), hi)
-    ladder[0] = q if g(q) <= 0.0 else 0.0
-    nonpositive = np.flatnonzero(g(ladder[1:-1]) <= 0.0)
-    last = nonpositive[-1] + 1 if nonpositive.size else 0
-    return _bisect_increasing(g, float(ladder[last]), float(ladder[last + 1]))
+    return _settle(lambda j: cost_density(params.cost, j) * (1.0 - j * params.p) - pv > 0.0, candidates[-1])

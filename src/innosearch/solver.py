@@ -98,7 +98,8 @@ ACTIVITY_CELL_FRACTION = 1e-3
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration ran out of sweeps before reaching its stopping threshold."""
+    """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm
+    changes) or the reverse shooting's orbit periods or orbits (history is empty)."""
 
     def __init__(self, message: str, history: Sequence[float]):
         super().__init__(message)

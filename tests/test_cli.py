@@ -7,7 +7,7 @@ import xml.dom.minidom
 
 import pytest
 
-from innosearch import cli, solver
+from innosearch import cli, foc, solver
 from innosearch.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -43,7 +43,7 @@ def test_solve_default_instance(tmp_path, capsys):
     summary = read_json(out, "summary")
     assert summary["searched"] is True
     assert "tol" not in summary and "converged" not in summary
-    assert summary["value_at_zero"] == pytest.approx(0.3293771377650821, abs=1e-9)
+    assert summary["value_at_zero"] == pytest.approx(0.32937698524932696, abs=1e-12)
     assert summary["q_star"] == pytest.approx(0.5, abs=1e-12)
     assert summary["j_star"] == pytest.approx(2.0 - 2.0**0.5, abs=1e-10)
 
@@ -125,8 +125,8 @@ def test_bad_config_key_reports_location(tmp_path, capsys):
 
 INSTANCE_KEYS = {"p", "v", "delta", "cost_family", "c0", "k"}
 SOLVE_KEYS = INSTANCE_KEYS | {
-    "searched", "value_at_zero", "first_boundary", "q_star", "j_star", "iterations",
-    "last_sup_norm_change", "grid_size", "horizon", "activity_threshold", "active_periods",
+    "searched", "value_at_zero", "first_boundary", "q_star", "j_star", "limit_frontier", "tail_rate",
+    "never_find_probability", "grid_value_at_zero", "grid_path_gap", "iterations", "last_sup_norm_change", "grid_size", "horizon", "activity_threshold", "active_periods",
     "active_prefix_contiguous", "idle_tail_max_increment",
 }
 SIMULATE_KEYS = INSTANCE_KEYS | {
@@ -217,13 +217,13 @@ def test_sweep_values_across_prize(tmp_path):
     head = table[0]
     assert head == [
         "parameter", "value", "status", "value_at_zero", "first_boundary",
-        "l_inf", "q_star", "j_star", "iterations", "error",
+        "l_inf", "q_star", "j_star", "error",
     ]
     rows = table[1:]
     assert [r[head.index("status")] for r in rows] == ["ok", "ok", "ok"]
     w0 = [float(r[head.index("value_at_zero")]) for r in rows]
     assert w0 == sorted(w0)  # richer prize, richer problem
-    assert w0[1] == pytest.approx(0.3293771377650821, abs=1e-9)
+    assert w0[1] == pytest.approx(0.32937698524932696, abs=1e-12)
     linf = [float(r[head.index("l_inf")]) for r in rows]
     jstar = [float(r[head.index("j_star")]) for r in rows]
     for li, js in zip(linf, jstar):
@@ -273,7 +273,7 @@ def test_sweep_count_takes_float_spelling(tmp_path):
 
 def test_sweep_reports_total_failure(tmp_path, capsys, monkeypatch):
     # a one-value sweep runs in this process, so the patch reaches its solve
-    monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
+    monkeypatch.setattr(foc, "MAX_STEPS", 2)
     out = str(tmp_path / "run")
     code = main(["sweep", "--param", "v", "--values", "2", "--out", out])
     assert code == EXIT_CONVERGENCE
@@ -470,7 +470,7 @@ def test_unlisted_exception_propagates(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken solver")
 
-    monkeypatch.setattr(cli, "value_iteration", broken)
+    monkeypatch.setattr(cli, "optimal_path", broken)
     out = str(tmp_path / "run")
     with pytest.raises(RuntimeError, match="broken solver"):
         main(["solve", "--out", out])

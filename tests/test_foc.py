@@ -1,0 +1,147 @@
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from innosearch import (
+    ConvergenceError,
+    CostModel,
+    ModelParams,
+    SolverConfig,
+    cost_integral,
+    feasible_to_search,
+    frontier_sequence,
+    optimal_path,
+    search_upper_bound,
+    value_iteration,
+)
+from innosearch import foc
+from innosearch.model import BISECT_EDGE, OutOfRangeError
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+
+
+def pool_entries():
+    with open(POOL, encoding="utf-8") as fh:
+        pool = json.load(fh)
+    return [i for i in pool["instances"] if i["kept"]] + pool["canonical"]
+
+
+def instance(entry):
+    return ModelParams(entry["p"], entry["v"], entry["delta"], CostModel(entry["family"], entry["c0"], entry["k"]))
+
+
+def plan_payoff(params, boundaries):
+    """Discounted payoff of searching [l_{t-1}, l_t) in period t and stopping after the last."""
+    b = np.asarray(boundaries, dtype=float)
+    terms = params.p * np.diff(b) * params.v - (1.0 - params.p * b[:-1]) * cost_integral(params.cost, b[:-1], b[1:])
+    return math.fsum(terms * params.delta ** np.arange(len(terms)))
+
+
+def test_agrees_with_the_pinned_references():
+    # W(0) and l_1 from forward shooting with its own closed forms, on every kept and canonical instance
+    entries = pool_entries()
+    assert len(entries) == 122
+    for entry in entries:
+        shot = optimal_path(instance(entry), 1)
+        assert abs(shot.value - entry["w0_ref"]) <= 1e-14, entry["id"]
+        assert abs(shot.path.boundaries[1] - entry["l1_ref"]) <= 1e-10, entry["id"]
+
+
+def test_canonical_value_and_limit():
+    shot = optimal_path(ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0)), 200)
+    assert shot.value == pytest.approx(0.32937698524932696, abs=1e-15)
+    # the limit is the crossing 2 - sqrt(2), the largest double at or below it
+    assert shot.limit == 0.5857864376269049
+    assert shot.path.boundaries[0] == 0.0 and shot.path.horizon == 200
+
+
+def test_multi_root_instance_converges_to_the_first_crossing():
+    # g crosses p v upwards at 0.2275 and again at 1 - 2.06e-9; the grid's cap j* is the last
+    # crossing, the path's limit the first
+    params = ModelParams(0.99, 0.2 / 0.99, 0.9, CostModel.logarithmic(0.0, 1.0))
+    shot = optimal_path(params, 200)
+    assert shot.value == pytest.approx(0.020188552785, abs=1e-11)
+    assert shot.limit == pytest.approx(0.2275168, abs=1e-7)
+    assert search_upper_bound(params) > 1.0 - 1e-8
+    assert np.all(shot.path.boundaries <= shot.limit)
+
+
+@pytest.mark.parametrize("family, v", [("reciprocal", 1e11), ("logarithmic", 10.0)])
+def test_path_reaching_the_edge(family, v):
+    # no crossing below the solver's edge: the path reaches it in finitely many periods and stays
+    params = ModelParams(0.99, v, 0.9, CostModel(family, 0.0, 1.0))
+    edge = 1.0 - BISECT_EDGE
+    shot = optimal_path(params, 20)
+    b = shot.path.boundaries
+    assert shot.limit == edge == search_upper_bound(params)
+    assert shot.tail_rate == 0.0
+    reached = int(np.argmax(b == edge))
+    assert 0 < reached < 19
+    assert np.all(b[reached:] == edge) and np.all(np.diff(b[: reached + 1]) > 0.0)
+    assert math.isfinite(shot.value) and shot.value > 0.0
+
+
+@pytest.mark.parametrize("cost", [CostModel.reciprocal(0.0, 1.0), CostModel.logarithmic(0.1, 1.0)])
+def test_tail_rate_matches_late_increment_ratios(cost):
+    shot = optimal_path(ModelParams(0.5, 2.0, 0.9, cost), 200)
+    lam, r = shot.tail_rate, shot.limit
+    assert 0.0 < lam < 1.0
+    b = shot.path.boundaries
+    inc = np.diff(b)
+    # periods of the shot orbit itself, before the linearized tail takes over
+    gap = r - b[1:-1]
+    late = np.flatnonzero((gap > foc.START_GAP * min(r, 1.0 - r)) & (gap < 1e-3))
+    ratios = inc[late + 1] / inc[late]
+    assert len(ratios) >= 3
+    assert np.all(np.abs(ratios / lam - 1.0) < 1e-3)
+
+
+def test_rejections():
+    params = ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0))
+    with pytest.raises(ValueError, match="horizon"):
+        optimal_path(params, 0)
+    with pytest.raises(ValueError, match="not worthwhile"):
+        optimal_path(ModelParams(0.4, 0.1, 0.9, CostModel.reciprocal(0.2, 1.0)), 10)
+    with pytest.raises(OutOfRangeError):
+        optimal_path(ModelParams(0.95, 50.0, 0.9, CostModel.logarithmic(0.0, 1.0)), 10)
+
+
+def test_running_out_of_steps_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(foc, "MAX_STEPS", 2)
+    with pytest.raises(ConvergenceError, match="within 2 periods"):
+        optimal_path(ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0)), 10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(["reciprocal", "logarithmic"]),
+    p=st.floats(0.05, 0.95),
+    v=st.floats(0.1, 20.0),
+    delta=st.floats(0.3, 0.999),
+    c0=st.floats(0.0, 1.0),
+    k=st.floats(0.1, 5.0),
+)
+def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
+    params = ModelParams(p, v, delta, CostModel(family, c0, k))
+    assume(feasible_to_search(params))
+    try:
+        shot = optimal_path(params, 400)
+    except OutOfRangeError:
+        assume(False)
+    r, lam = shot.limit, shot.tail_rate
+    b = shot.path.boundaries
+    assert math.isfinite(shot.value)
+    assert 0.0 <= lam < 1.0
+    inc = np.diff(b)
+    assert np.all(inc >= 0.0) and b[-1] <= r
+    # strictly increasing wherever the exact increment, about (1 - lam)(r - l), spans two doubles
+    strict = (1.0 - lam) * (r - b[:-1]) > 2.0 * math.ulp(r)
+    assert np.all(inc[strict] > 0.0)
+    # the grid's path is a feasible plan, and its payoff can only fall short of the optimum
+    grid_path = frontier_sequence(value_iteration(params, SolverConfig(grid_size=512)), 2000)
+    assert shot.value >= plan_payoff(params, grid_path.boundaries) - 1e-14 * abs(shot.value)
