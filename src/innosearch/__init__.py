@@ -24,7 +24,6 @@ from .solver import (
     ConvergenceError,
     FrontierPath,
     SolverConfig,
-    activity_split,
     backward_induction,
     bellman_rhs,
     continuation_inequality_check,
@@ -65,7 +64,6 @@ __all__ = [
     "ConvergenceError",
     "FrontierPath",
     "SolverConfig",
-    "activity_split",
     "backward_induction",
     "bellman_rhs",
     "continuation_inequality_check",

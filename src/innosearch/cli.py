@@ -21,9 +21,9 @@ only for svg. _emit then prints the command's one-line summary.
 solve, simulate and sweep share one pipeline: _solve gives the instance and
 its optimal path by reverse shooting on the first-order condition (foc), or
 None for the no-search verdict p v <= c(0), and _headline the numbers
-summary.json and a sweep row share. The verdict is a success (exit 0). Only
-solve runs value iteration: on its --grid-size grid, for the value table and
-chart and as a cross-check of the path.
+summary.json and a sweep row share. The verdict is a success (exit 0).
+solve's value table and chart come from the path's orbits (foc.value_table);
+only oracle's backward induction uses a grid.
 
 FAILURES is the one exit-code policy, first matching row wins: 2 configuration
 or validation error, 3 solver did not converge, 4 enumeration budget
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from .config import SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSpec, load_run_config
-from .foc import ShootingSolution, optimal_path
+from .foc import ShootingSolution, optimal_path, value_table
 from .model import (
     ModelParams,
     OutOfRangeError,
@@ -71,14 +71,9 @@ from .oracle import (
 )
 from .output import line_chart, write_json, write_svg, write_table
 from .simulate import SimConfig, active_probability_analytic, simulate_batch
-from .solver import (
-    ConvergenceError,
-    activity_split,
-    backward_induction,
-    euler_residual,
-    frontier_sequence,
-    value_iteration,
-)
+from .solver import ConvergenceError, backward_induction
+# unused here; perfbench/spans.py traces them under these names
+from .solver import euler_residual, frontier_sequence, value_iteration  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -207,23 +202,15 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
         return _no_search_summary(rc)
     params, shot = solved
     path = shot.path
-    sol = value_iteration(params, rc.solver_config())
-    grid_path = frontier_sequence(sol, rc.horizon)
-    threshold = sol.activity_threshold
-    activity = activity_split(path, threshold)
+    l, w, policy = value_table(params, shot)
     b = path.boundaries
-    inc = path.increments()
     frontier = {
         "t": range(1, rc.horizon + 1),
         "frontier": b[1:],
-        "increment": inc,
-        "active": inc > threshold,
+        "increment": path.increments(),
         # belief that a feasible project exists, entering each period
         "posterior": posterior_feasible(params, b[:-1]),
         "period_cost": cost_integral(params.cost, b[:-1], b[1:]),
-        "euler_residual": [
-            euler_residual(params, sol, l, l_next=l_next) for l, l_next in zip(b[:-1].tolist(), b[1:].tolist())
-        ],
     }
     summary = {
         "searched": True,
@@ -231,36 +218,26 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
         "limit_frontier": shot.limit,
         "tail_rate": shot.tail_rate,
         "never_find_probability": 1.0 - params.p * shot.limit,
-        "grid_value_at_zero": float(sol.values[0]),
-        "grid_path_gap": float(np.max(np.abs(grid_path.boundaries - b))),
-        "iterations": sol.iterations,
-        "last_sup_norm_change": sol.sup_norm_history[-1],
-        "grid_size": rc.grid_size,
         "horizon": rc.horizon,
-        "activity_threshold": threshold,
-        "active_periods": activity.active_count,
-        "active_prefix_contiguous": activity.contiguous,
-        "idle_tail_max_increment": activity.tail_max,
     }
-    nodes = sol.nodes.tolist()
+    states = l.tolist()
     charts = {
         "frontier": (
             "Optimal search frontier", "period", "frontier l",
             [("frontier path", list(range(path.horizon + 1)), b.tolist())],
-            [(sol.cap, "search cap j*"), (summary["q_star"], "one-shot boundary q*")],
+            [(summary["j_star"], "search cap j*"), (summary["q_star"], "one-shot boundary q*")],
         ),
         "value": (
             "Value and policy", "frontier l", "value / next frontier",
-            [("value W(l)", nodes, sol.values.tolist()), ("policy l'(l)", nodes, sol.policy.tolist())],
+            [("value W(l)", states, w.tolist()), ("policy l'(l)", states, policy.tolist())],
         ),
     }
     return _emit(
         rc,
-        tables={"value": {"l": sol.nodes, "value": sol.values, "policy": sol.policy}, "frontier": frontier},
+        tables={"value": {"l": l, "value": w, "policy": policy}, "frontier": frontier},
         docs={"summary": summary},
         charts=charts,
-        message=f"solved: W(0) = {shot.value:.12g}, first boundary {b[1]:.12g}, "
-        f"{sol.iterations} sweeps, {activity.active_count} active periods of {rc.horizon}",
+        message=f"solved: W(0) = {shot.value:.12g}, first boundary {b[1]:.12g}",
     )
 
 

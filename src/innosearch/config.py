@@ -46,7 +46,7 @@ class RunConfig:
     c0: float = _setting(0.0, "marginal cost intercept")
     k: float = _setting(1.0, "marginal cost slope parameter")
     # solver
-    grid_size: int = _setting(2048, "grid nodes: value table and cross-check for solve, backward induction for oracle")
+    grid_size: int = _setting(2048, "grid nodes of oracle's backward induction")
     # simulation
     runs: int = _setting(100_000, "Monte Carlo run count")
     seed: int = _setting(12345, "64-bit simulation seed")

@@ -40,10 +40,15 @@ largest W(0) wins: on a multi-root instance the first crossing, not the
 grid's cap j*, is the limit. A candidate whose orbit turns back before
 l = 0, caught by a downward crossing of g below it, has no increasing path
 and is passed over.
+
+Orbits over one fundamental domain, the shot orbit among them, pass through
+every state of [0, a] the plan visits from 0: each orbit point is a pair
+(l, policy(l)) of the grid-free value table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -69,6 +74,8 @@ MAX_STEPS = 100_000
 MAX_SHOTS = 200
 # Orbits start at most this fraction of min(a, 1 - a) from their limit a.
 START_GAP = 1e-4
+# value_table traces about this many rows, one per node of the default grid.
+TABLE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,15 @@ class ShootingSolution:
 
     tail_rate is the ratio lambda of successive gaps to the limit far along
     the path; 0 when the path reaches its limit, the solver's edge, in
-    finitely many periods.
+    finitely many periods. orbit holds the shot orbit's gaps limit - l_t,
+    from l_0 = 0 to the start (e_T, lambda e_T) of its linearized tail.
     """
 
     value: float
     path: FrontierPath
     limit: float
     tail_rate: float
+    orbit: Tuple[float, ...]
 
 
 class _Unreachable(Exception):
@@ -137,8 +146,10 @@ def _tail_rate(params: ModelParams, a: float) -> float:
     return (2.0 / delta) / (sigma + math.sqrt(disc))
 
 
-def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float], float]:
-    """(W(0), gaps e_1 .. e_{T+1} to the limit a, lambda) of the optimal path converging to a."""
+def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Callable, float]:
+    """(back, term, lambda) in the gaps to the limit a: the step e_{t-1} = back(e_t, e_{t+1}),
+    the period payoff term(e_{t-1}, e_t) = p (l_t - l_{t-1}) v - (1 - p l_{t-1}) C(l_{t-1}, l_t),
+    and the tail rate."""
     p, v, delta = params.p, params.v, params.delta
     density, drop, interval = _gap_kernels(params, a)
     pa = 1.0 - p * a
@@ -149,17 +160,28 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
         c = density(e)
         return delta * e + (delta * p * interval(e, e_next) + (1.0 - delta) * (pa * drop(e) + excess)) / (p * c)
 
-    def orbit(e_start, steps=None):
-        """Gaps e_{T+1}, e_T = e_start, e_{T-1}, ..., backwards: `steps` steps, or until l <= 0."""
-        es = [lam * e_start, e_start]
-        while es[-1] < a if steps is None else len(es) - 2 < steps:
-            if len(es) > MAX_STEPS:
-                raise ConvergenceError(f"no orbit reaches l = 0 within {MAX_STEPS} periods of the limit {a!r}", [])
-            es.append(back(es[-1], es[-2]))
-            if es[-1] <= es[-2]:
-                raise _Unreachable(a)
-        return es
+    def term(e_prev, e_now):
+        return p * (e_prev - e_now) * v - (pa + p * e_prev) * interval(e_prev, e_now)
 
+    return back, term, lam
+
+
+def _orbit(back: Callable, lam: float, a: float, e_start: float, steps=None) -> List[float]:
+    """Gaps e_{T+1}, e_T = e_start, e_{T-1}, ..., backwards: `steps` steps, or until l <= 0."""
+    es = [lam * e_start, e_start]
+    while es[-1] < a if steps is None else len(es) - 2 < steps:
+        if len(es) > MAX_STEPS:
+            raise ConvergenceError(f"no orbit reaches l = 0 within {MAX_STEPS} periods of the limit {a!r}", [])
+        es.append(back(es[-1], es[-2]))
+        if es[-1] <= es[-2]:
+            raise _Unreachable(a)
+    return es
+
+
+def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float], float]:
+    """(W(0), gaps e_0 = a, e_1 .. e_{T+1} to the limit a, lambda) of the optimal path converging to a."""
+    back, term, lam = _stepper(params, a, edge)
+    orbit = functools.partial(_orbit, back, lam, a)
     # hi's orbit first reaches l <= 0 after `steps` steps; lo's is hi's a period
     # later (exactly at the edge, up to the linearization at a crossing), so its
     # l after as many steps is still positive
@@ -200,20 +222,15 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
 
     gaps = best[::-1]
     gaps[0] = a  # l_0 = 0
-    return _payoff(params, a, gaps, lam, interval), gaps[1:], lam
+    return _payoff(params, gaps, lam, term), gaps, lam
 
 
-def _payoff(params: ModelParams, a: float, gaps: List[float], lam: float, interval) -> float:
-    """W(0) of the path with gaps e_0 = a, e_1, .. e_{T+1}, then e_{T+1} lambda^k."""
+def _payoff(params: ModelParams, gaps: List[float], lam: float, term: Callable) -> float:
+    """(1 - p l_0) W(l_0) of the path with gaps e_0, e_1, .. e_{T+1}, then e_{T+1} lambda^k."""
     p, v, delta = params.p, params.v, params.delta
-    pa = 1.0 - p * a
     terms = []
     disc = 1.0
     prev = gaps[0]
-
-    def term(e_prev, e_now):
-        return p * (e_prev - e_now) * v - (pa + p * e_prev) * interval(e_prev, e_now)
-
     for e in gaps[1:]:
         terms.append(disc * term(prev, e))
         disc *= delta
@@ -262,11 +279,52 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
         raise ConvergenceError("every orbit turns back before l = 0: no increasing path was found", [])
     value, gaps, lam, a = best
     e = np.zeros(horizon + 1)
-    n = min(len(gaps), horizon)
-    e[0] = a
-    e[1 : n + 1] = gaps[:n]
+    n = min(len(gaps) - 1, horizon)
+    e[: n + 1] = gaps[: n + 1]
     if horizon > n:
-        e[n + 1 :] = gaps[n - 1] * lam ** np.arange(1, horizon - n + 1)
+        e[n + 1 :] = gaps[n] * lam ** np.arange(1, horizon - n + 1)
     boundaries = a - e
     boundaries[0] = 0.0
-    return ShootingSolution(value=value, path=FrontierPath(boundaries, horizon), limit=a, tail_rate=lam)
+    return ShootingSolution(value, FrontierPath(boundaries, horizon), a, lam, tuple(gaps))
+
+
+def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(l, W(l), policy(l)) on [0, r], the states the optimal plan visits from 0, sorted by l.
+
+    Orbits start over one fundamental domain of the path's tail, the shot
+    orbit first, and step back until l <= 0; each orbit point (l_{t-1}, l_t)
+    is a row policy(l_{t-1}) = l_t. Each orbit gives about as many rows as
+    the shot orbit, and enough orbits start to give about TABLE_ROWS rows.
+    Along an orbit U = (1 - p l) W starts at the linearized tail's payoff
+    and steps back as
+    U_{t-1} = p (l_t - l_{t-1}) v - (1 - p l_{t-1}) C(l_{t-1}, l_t) + delta U_t.
+    The first row is the path's own (0, W(0), l_1), the last (r, 0, r).
+    """
+    p, delta, a, lam = params.p, params.delta, shot.limit, shot.tail_rate
+    back, term, _ = _stepper(params, a, lam == 0.0)
+    pa = 1.0 - p * a
+    x = shot.orbit[-2]
+    n = -(-TABLE_ROWS // (len(shot.orbit) - 1))
+    s = np.arange(n) / n
+    if lam > 0.0:
+        starts = x * lam**s
+    else:
+        # at the edge the domain is (0, e_max], e_max the step back from the edge itself
+        e_max = back(0.0, 0.0)
+        starts = x - s * e_max
+        starts[starts <= 0.0] += e_max
+    rows = []
+    for i, start in enumerate(starts.tolist()):
+        # the shot orbit keeps its l_0 = 0; any other drops its step past l = 0
+        es = list(shot.orbit[::-1]) if i == 0 else _orbit(back, lam, a, start)[:-1]
+        u = _payoff(params, es[1::-1], lam, term)
+        rows.append((a - es[1], u / (pa + p * es[1]), a - es[0]))
+        for e_next, e in zip(es[1:], es[2:]):
+            u = term(e, e_next) + delta * u
+            rows.append((a - e, u / (pa + p * e), a - e_next))
+    rows.append((a, 0.0, a))
+    table = np.array(rows)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    # W(0) as the path sums it, forward, to the last digit
+    table[0, 1] = shot.value
+    return table[:, 0], table[:, 1], table[:, 2]

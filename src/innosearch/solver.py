@@ -90,12 +90,6 @@ TOL = 1e-9
 # Greedy sweeps value iteration runs before it gives up with ConvergenceError.
 MAX_SWEEPS = 100_000
 
-# An increment is reported as active when it exceeds
-# max(ACTIVITY_FLOOR, cell * ACTIVITY_CELL_FRACTION); below that the step is
-# numerically indistinguishable from zero at the working grid resolution.
-ACTIVITY_FLOOR = 1e-13
-ACTIVITY_CELL_FRACTION = 1e-3
-
 
 class ConvergenceError(RuntimeError):
     """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm
@@ -127,15 +121,6 @@ class FrontierPath:
 
 
 @dataclass
-class ActivityReport:
-    """Split of a path's increments into an active prefix and a numerically idle tail."""
-
-    active_count: int
-    contiguous: bool
-    tail_max: float
-
-
-@dataclass
 class ContinuationReport:
     lhs: float
     rhs: float
@@ -155,10 +140,6 @@ class ValueSolution:
     @property
     def cell(self) -> float:
         return self.cap / (len(self.nodes) - 1)
-
-    @property
-    def activity_threshold(self) -> float:
-        return max(ACTIVITY_FLOOR, self.cell * ACTIVITY_CELL_FRACTION)
 
     def value_at(self, l: ArrayLike) -> ArrayLike:
         out = np.interp(l, self.nodes, self.values)
@@ -546,11 +527,10 @@ def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
 
     Each step re-maximizes at the exact current state rather than snapping to
     the grid, over [l, cap], so increments are never negative. Late
-    increments shrink geometrically and eventually fall below the solver's
-    resolution; activity_split separates the economically active prefix from
-    that numerically idle tail. Once a step returns its own state, the policy
-    would return it again every later period, so the rest of the path is
-    filled with it instead of maximized.
+    increments shrink geometrically and eventually fall below the grid's
+    resolution, where the path stalls. Once a step returns its own state,
+    the policy would return it again every later period, so the rest of the
+    path is filled with it instead of maximized.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -564,20 +544,6 @@ def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
         l = lp
         boundaries[t] = l
     return FrontierPath(boundaries, horizon)
-
-
-def activity_split(path: FrontierPath, threshold: float) -> ActivityReport:
-    """Count leading increments above threshold and check the tail stays below."""
-    inc = path.increments()
-    above = inc > threshold
-    active = int(np.argmin(above)) if not above.all() else len(inc)
-    tail = inc[active:]
-    tail_max = float(tail.max()) if len(tail) else 0.0
-    return ActivityReport(
-        active_count=active,
-        contiguous=not bool((tail > threshold).any()),
-        tail_max=tail_max,
-    )
 
 
 def continuation_inequality_check(

@@ -7,7 +7,7 @@ import xml.dom.minidom
 
 import pytest
 
-from innosearch import cli, foc, solver
+from innosearch import cli, foc
 from innosearch.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -53,6 +53,17 @@ def test_solve_default_instance(tmp_path, capsys):
     # entering period 1 nothing is searched yet, so the belief is the prior
     posterior = table[0].index("posterior")
     assert float(table[1][posterior]) == 0.5
+
+
+def test_solve_runs_no_grid(tmp_path):
+    # every output file is the same at any --grid-size: solve's table comes from the shooting orbits
+    outs = [str(tmp_path / n) for n in ("64", "4096")]
+    for grid, out in zip(("64", "4096"), outs):
+        assert main(["solve", "--grid-size", grid, "--horizon", "20", "--format", "csv,json,svg", "--out", out]) == EXIT_OK
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "value.csv" in names and "value.svg" in names
+    for name in names:
+        assert read_bytes(os.path.join(outs[0], name)) == read_bytes(os.path.join(outs[1], name)), name
 
 
 def test_solve_svg_output(tmp_path):
@@ -126,8 +137,7 @@ def test_bad_config_key_reports_location(tmp_path, capsys):
 INSTANCE_KEYS = {"p", "v", "delta", "cost_family", "c0", "k"}
 SOLVE_KEYS = INSTANCE_KEYS | {
     "searched", "value_at_zero", "first_boundary", "q_star", "j_star", "limit_frontier", "tail_rate",
-    "never_find_probability", "grid_value_at_zero", "grid_path_gap", "iterations", "last_sup_norm_change", "grid_size", "horizon", "activity_threshold", "active_periods",
-    "active_prefix_contiguous", "idle_tail_max_increment",
+    "never_find_probability", "horizon",
 }
 SIMULATE_KEYS = INSTANCE_KEYS | {
     "searched", "runs", "seed", "horizon_cap", "mean_discounted_payoff", "payoff_standard_error",
@@ -332,16 +342,18 @@ def test_solve_when_search_barely_pays(tmp_path, family):
 
 @pytest.mark.parametrize("family, v", [("reciprocal", "1e11"), ("logarithmic", "10")])
 def test_solve_path_reaching_the_cap(tmp_path, family, v):
-    # the frontier runs to the solver's edge j* and stays; no symmetric difference fits there
+    # the frontier runs to the solver's edge j* and stays there; the value table ends at it
     out = str(tmp_path / "run")
     argv = ["solve", "--p", "0.99", "--v", v, "--cost-family", family, "--grid-size", "256", "--horizon", "20"]
     assert main(argv + ["--out", out]) == EXIT_OK
     j_star = read_json(out, "summary")["j_star"]
     table = read_csv(out, "frontier")
-    frontier, euler = table[0].index("frontier"), table[0].index("euler_residual")
+    frontier, increment = table[0].index("frontier"), table[0].index("increment")
     at_cap = [row for row in table[1:] if float(row[frontier]) == j_star]
     assert len(at_cap) >= 2  # the later rows start from the cap itself
-    assert all(row[euler] == "" for row in at_cap)
+    assert all(float(row[increment]) == 0.0 for row in at_cap[1:])
+    states = [row[0] for row in read_json(out, "value")["rows"]]
+    assert states[-1] <= j_star
 
 
 # command: (argv, JSON documents, tables, charts)
@@ -448,7 +460,7 @@ def test_simulate_svg_output(tmp_path):
 
 
 def test_solve_reports_convergence_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(solver, "MAX_SWEEPS", 2)
+    monkeypatch.setattr(foc, "MAX_STEPS", 2)
     assert main(["solve", "--out", str(tmp_path / "run")]) == EXIT_CONVERGENCE
     assert capsys.readouterr().err.startswith("solver failed: ")
 

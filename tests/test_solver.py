@@ -11,10 +11,8 @@ from scipy.optimize import minimize_scalar
 from innosearch import (
     ConvergenceError,
     CostModel,
-    FrontierPath,
     ModelParams,
     SolverConfig,
-    activity_split,
     backward_induction,
     bellman_rhs,
     continuation_inequality_check,
@@ -329,20 +327,6 @@ def test_frontier_sequence_shape(base_solution, base_path):
     assert np.all(path.boundaries <= base_solution.cap + 1e-12)
     # the path walks most of the way to the cap within 200 periods
     assert base_solution.cap - path.boundaries[-1] < 10 * base_solution.cell
-
-
-def test_activity_split_synthetic():
-    path = FrontierPath(np.array([0.0, 0.3, 0.5, 0.5 + 1e-12, 0.5 + 2e-12]), 4)
-    report = activity_split(path, 1e-6)
-    assert report.active_count == 2
-    assert report.contiguous
-    assert report.tail_max < 1e-11
-
-    broken = FrontierPath(np.array([0.0, 0.3, 0.3 + 1e-12, 0.5]), 3)
-    report = activity_split(broken, 1e-6)
-    assert report.active_count == 1
-    assert not report.contiguous
-    assert report.tail_max == pytest.approx(0.2 - 1e-12, abs=1e-9)
 
 
 def test_stopped_plan_is_underbid_nearby(base_params):
