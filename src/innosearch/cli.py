@@ -33,19 +33,15 @@ point takes its code from it, 2 if unlisted; a sweep exits 0 unless every
 point failed, then with their common code, or 2 if they differ.
 
 A sweep is a list of run configs, one per sweep value, each validated before
-any is solved. They fan out over a process pool with one worker per CPU the
-process may run on, and run in this process when that is one. Workers only
-compute, the parent writes all files, and rows keep the order the sweep
-values were given in.
+any is solved. Its points are solved one after another in this process, in
+the order the sweep values were given, and only then are its files written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,7 +56,6 @@ from .model import (
     feasible_to_search,
     myopic_boundary,
     posterior_feasible,
-    search_upper_bound,
 )
 from .oracle import (
     BudgetExceededError,
@@ -74,6 +69,8 @@ from .simulate import SimConfig, active_probability_analytic, simulate_batch
 from .solver import ConvergenceError, backward_induction
 # unused here; perfbench/spans.py traces them under these names
 from .solver import euler_residual, frontier_sequence, value_iteration  # noqa: F401
+# unused here; perfbench/workloads.py swaps it in traced runs
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,7 +177,7 @@ def _headline(params: ModelParams, shot: ShootingSolution) -> Dict[str, object]:
         "value_at_zero": shot.value,
         "first_boundary": float(shot.path.boundaries[1]),
         "q_star": myopic_boundary(params),
-        "j_star": search_upper_bound(params),
+        "j_star": shot.cap,
     }
 
 
@@ -324,7 +321,7 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     )
 
 
-def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
+def _sweep_point(rc: RunConfig) -> Tuple[Dict[str, object], int]:
     """Solve one sweep point: its row, parameter and value left unset, and its exit code.
 
     Never raises: a failure is an error row with its FAILURES code.
@@ -336,7 +333,7 @@ def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
             row.update(status="no-search", value_at_zero=0.0)
         else:
             row.update(status="ok", l_inf=float(solved[1].path.boundaries[-1]), **_headline(*solved))
-    except Exception as e:  # noqa: BLE001 - workers report, the parent decides
+    except Exception as e:  # noqa: BLE001 - a point reports, cmd_sweep decides the exit code
         row.update(status="error", error=f"{type(e).__name__}: {e}")
         return row, _failure(e)[0]
     return row, EXIT_OK
@@ -345,13 +342,7 @@ def _sweep_worker(rc: RunConfig) -> Tuple[Dict[str, object], int]:
 def cmd_sweep(rc: RunConfig, ns: argparse.Namespace) -> int:
     spec = SweepSpec.from_flags(ns.param, ns.values, ns.start, ns.stop, ns.count)
     configs = [spec.apply(rc, x) for x in spec.values]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(configs), cpus)
-    if workers == 1:
-        points = [_sweep_worker(c) for c in configs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_worker, configs))
+    points = [_sweep_point(c) for c in configs]
     for x, (row, _) in zip(spec.values, points):
         row.update(parameter=spec.parameter, value=x)
     results = [row for row, _ in points]

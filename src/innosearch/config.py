@@ -168,9 +168,8 @@ SWEEP_PARAMETERS = ("p", "v", "delta", "c0", "k", "scale")
 class SweepSpec:
     """One-dimensional parameter sweep.
 
-    `scale` multiplies v, c0, and k jointly. The solver's stopping threshold
-    is relative to p v, so a scaled instance takes the same sweeps and its W
-    scales with it, which is the homogeneity the sweep exists to demonstrate.
+    `scale` multiplies v, c0, and k jointly. The optimal path is unchanged
+    and W scales with it, which is the homogeneity the sweep exists to demonstrate.
     """
 
     parameter: str

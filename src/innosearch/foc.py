@@ -82,6 +82,7 @@ TABLE_ROWS = 2048
 class ShootingSolution:
     """The optimal path from l = 0: W(0), l_0 .. l_horizon, its limit and tail rate.
 
+    cap is search_upper_bound's j*, at or above the limit (above it on a multi-root instance).
     tail_rate is the ratio lambda of successive gaps to the limit far along
     the path; 0 when the path reaches its limit, the solver's edge, in
     finitely many periods. orbit holds the shot orbit's gaps limit - l_t,
@@ -91,6 +92,7 @@ class ShootingSolution:
     value: float
     path: FrontierPath
     limit: float
+    cap: float
     tail_rate: float
     orbit: Tuple[float, ...]
 
@@ -285,7 +287,7 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
         e[n + 1 :] = gaps[n] * lam ** np.arange(1, horizon - n + 1)
     boundaries = a - e
     boundaries[0] = 0.0
-    return ShootingSolution(value, FrontierPath(boundaries, horizon), a, lam, tuple(gaps))
+    return ShootingSolution(value, FrontierPath(boundaries, horizon), a, cap, lam, tuple(gaps))
 
 
 def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

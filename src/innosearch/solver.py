@@ -576,30 +576,17 @@ def continuation_inequality_check(
     return reports
 
 
-def euler_residual(
-    params: ModelParams,
-    solution: ValueSolution,
-    l: float,
-    l_next: Optional[float] = None,
-) -> Optional[float]:
+def euler_residual(params: ModelParams, solution: ValueSolution, l: float) -> Optional[float]:
     """Central-difference derivative of the Bellman objective at the chosen policy.
 
     The step is half a grid cell. Near zero for interior policies; returns
     None when the policy sits too close to l or the cap for a symmetric
     difference to fit, in which case the first-order condition does not
     apply: always so at l = cap, where a path that reaches the cap stays.
-    l_next is the policy's next frontier from l when the caller already has
-    it (a path from frontier_sequence); without it the policy is maximized
-    here.
     """
     if not (0.0 <= l <= solution.cap):
         raise ValueError(f"frontier {l} outside [0, {solution.cap}]")
-    if l_next is None:
-        lp = solution.policy_at(l)
-    elif l <= l_next <= solution.cap:
-        lp = l_next
-    else:
-        raise ValueError(f"next frontier {l_next} outside [{l}, {solution.cap}]")
+    lp = solution.policy_at(l)
     h = 0.5 * solution.cell
     if lp - l < 2.0 * h or solution.cap - lp < 2.0 * h:
         return None

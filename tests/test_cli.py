@@ -282,16 +282,28 @@ def test_sweep_count_takes_float_spelling(tmp_path):
 
 
 def test_sweep_reports_total_failure(tmp_path, capsys, monkeypatch):
-    # a one-value sweep runs in this process, so the patch reaches its solve
     monkeypatch.setattr(foc, "MAX_STEPS", 2)
     out = str(tmp_path / "run")
-    code = main(["sweep", "--param", "v", "--values", "2", "--out", out])
+    code = main(["sweep", "--param", "v", "--values", "2,3", "--out", out])
     assert code == EXIT_CONVERGENCE
     captured = capsys.readouterr()
-    assert "1 failure(s)" in captured.out
+    assert "2 failure(s)" in captured.out
     assert "ConvergenceError" in captured.err
     table = read_csv(out, "sweep")
-    assert table[1][table[0].index("status")] == "error"
+    assert [row[table[0].index("status")] for row in table[1:]] == ["error", "error"]
+
+
+def test_sweep_runs_in_this_process(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    out = str(tmp_path / "run")
+    assert main(["sweep", "--param", "delta", "--values", "0.95,0.9,0.99", "--horizon", "20", "--out", out]) == EXIT_OK
+    data = read_json(out, "sweep")
+    cols = data["columns"]
+    assert [r[cols.index("value")] for r in data["rows"]] == [0.95, 0.9, 0.99]
+    assert all(r[cols.index("status")] == "ok" for r in data["rows"])
 
 
 @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
@@ -486,8 +498,8 @@ def test_unlisted_exception_propagates(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "run")
     with pytest.raises(RuntimeError, match="broken solver"):
         main(["solve", "--out", out])
-    assert main(["sweep", "--param", "v", "--values", "2", "--out", out]) == EXIT_CONFIG
-    assert "RuntimeError: broken solver" in capsys.readouterr().err
+    assert main(["sweep", "--param", "v", "--values", "2,3", "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("RuntimeError: broken solver") == 2
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "oracle", "sweep"])

@@ -114,6 +114,7 @@ TABLE_INSTANCES = {
 def test_value_table_rows(name):
     params = TABLE_INSTANCES[name]
     shot = optimal_path(params, 20)
+    assert shot.cap == search_upper_bound(params)
     l, w, policy = foc.value_table(params, shot)
     r = shot.limit
     # the path's own first row, then rows sorted by l over [0, r], ending at (r, 0, r)
@@ -173,6 +174,7 @@ def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
     r, lam = shot.limit, shot.tail_rate
     b = shot.path.boundaries
     assert math.isfinite(shot.value)
+    assert r <= shot.cap == search_upper_bound(params)
     assert 0.0 <= lam < 1.0
     inc = np.diff(b)
     assert np.all(inc >= 0.0) and b[-1] <= r

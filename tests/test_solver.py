@@ -495,24 +495,6 @@ def test_frontier_sequence_matches_stepwise_policy(which, base_solution, log_sol
     assert len(calls) < horizon
 
 
-def test_euler_residual_with_known_next_frontier(base_params, base_solution, base_path):
-    b = base_path.boundaries
-    given = [
-        euler_residual(base_params, base_solution, float(b[t - 1]), l_next=float(b[t]))
-        for t in range(1, base_path.horizon + 1)
-    ]
-    maximized = [euler_residual(base_params, base_solution, float(b[t - 1])) for t in range(1, base_path.horizon + 1)]
-    assert given == maximized
-    assert given[0] is not None and given[-1] is None
-
-
-def test_euler_residual_rejects_next_frontier_outside_state_space(base_params, base_solution):
-    with pytest.raises(ValueError):
-        euler_residual(base_params, base_solution, 0.2, l_next=0.1)
-    with pytest.raises(ValueError):
-        euler_residual(base_params, base_solution, 0.2, l_next=base_solution.cap + 1e-6)
-
-
 # ------------------------------------------------ the maximizer's guarantees
 
 
