@@ -22,7 +22,6 @@ from .model import (
 )
 from .solver import (
     ConvergenceError,
-    FrontierPath,
     SolverConfig,
     backward_induction,
     bellman_rhs,
@@ -62,7 +61,6 @@ __all__ = [
     "posterior_feasible",
     "search_upper_bound",
     "ConvergenceError",
-    "FrontierPath",
     "SolverConfig",
     "backward_induction",
     "bellman_rhs",

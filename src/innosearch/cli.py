@@ -175,7 +175,7 @@ def _headline(params: ModelParams, shot: ShootingSolution) -> Dict[str, object]:
     """The numbers a solved run reports in summary.json and in its sweep row."""
     return {
         "value_at_zero": shot.value,
-        "first_boundary": float(shot.path.boundaries[1]),
+        "first_boundary": float(shot.path[1]),
         "q_star": myopic_boundary(params),
         "j_star": shot.cap,
     }
@@ -198,13 +198,12 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     if solved is None:
         return _no_search_summary(rc)
     params, shot = solved
-    path = shot.path
+    b = shot.path
     l, w, policy = value_table(params, shot)
-    b = path.boundaries
     frontier = {
         "t": range(1, rc.horizon + 1),
         "frontier": b[1:],
-        "increment": path.increments(),
+        "increment": np.diff(b),
         # belief that a feasible project exists, entering each period
         "posterior": posterior_feasible(params, b[:-1]),
         "period_cost": cost_integral(params.cost, b[:-1], b[1:]),
@@ -221,7 +220,7 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     charts = {
         "frontier": (
             "Optimal search frontier", "period", "frontier l",
-            [("frontier path", list(range(path.horizon + 1)), b.tolist())],
+            [("frontier path", list(range(len(b))), b.tolist())],
             [(summary["j_star"], "search cap j*"), (summary["q_star"], "one-shot boundary q*")],
         ),
         "value": (
@@ -244,7 +243,7 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
         return _no_search_summary(rc)
     params, shot = solved
     path = shot.path
-    stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed, rc.horizon))
+    stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed))
     periods = np.arange(1, rc.horizon + 1)
     analytic_active = active_probability_analytic(params, path, periods)
     w0 = shot.value
@@ -256,7 +255,7 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
         "active_analytic": analytic_active,
         "halfwidth_3sigma": stats.confidence_halfwidths,
         "success_fraction": stats.success_fraction,
-        "success_analytic": params.p * path.boundaries[1:],
+        "success_analytic": params.p * path[1:],
     }
     summary = {
         "searched": True,
@@ -332,7 +331,7 @@ def _sweep_point(rc: RunConfig) -> Tuple[Dict[str, object], int]:
         if solved is None:
             row.update(status="no-search", value_at_zero=0.0)
         else:
-            row.update(status="ok", l_inf=float(solved[1].path.boundaries[-1]), **_headline(*solved))
+            row.update(status="ok", l_inf=float(solved[1].path[-1]), **_headline(*solved))
     except Exception as e:  # noqa: BLE001 - a point reports, cmd_sweep decides the exit code
         row.update(status="error", error=f"{type(e).__name__}: {e}")
         return row, _failure(e)[0]

@@ -66,7 +66,7 @@ from .model import (
     cost_density,
     feasible_to_search,
 )
-from .solver import ConvergenceError, FrontierPath
+from .solver import ConvergenceError
 
 # Backward steps one orbit may take before shooting gives up.
 MAX_STEPS = 100_000
@@ -90,7 +90,7 @@ class ShootingSolution:
     """
 
     value: float
-    path: FrontierPath
+    path: np.ndarray
     limit: float
     cap: float
     tail_rate: float
@@ -173,7 +173,7 @@ def _orbit(back: Callable, lam: float, a: float, e_start: float, steps=None) -> 
     es = [lam * e_start, e_start]
     while es[-1] < a if steps is None else len(es) - 2 < steps:
         if len(es) > MAX_STEPS:
-            raise ConvergenceError(f"no orbit reaches l = 0 within {MAX_STEPS} periods of the limit {a!r}", [])
+            raise ConvergenceError(f"no orbit reaches l = 0 within {MAX_STEPS} periods of the limit {a!r}")
         es.append(back(es[-1], es[-2]))
         if es[-1] <= es[-2]:
             raise _Unreachable(a)
@@ -220,7 +220,7 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
             w_lo *= 0.5 if side < 0 else 1.0
             side = -1
     else:
-        raise ConvergenceError(f"shooting for l_0 = 0 did not settle within {MAX_SHOTS} orbits", [])
+        raise ConvergenceError(f"shooting for l_0 = 0 did not settle within {MAX_SHOTS} orbits")
 
     gaps = best[::-1]
     gaps[0] = a  # l_0 = 0
@@ -278,7 +278,7 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
         if best is None or value > best[0]:
             best = (value, gaps, lam, limit)
     if best is None:
-        raise ConvergenceError("every orbit turns back before l = 0: no increasing path was found", [])
+        raise ConvergenceError("every orbit turns back before l = 0: no increasing path was found")
     value, gaps, lam, a = best
     e = np.zeros(horizon + 1)
     n = min(len(gaps) - 1, horizon)
@@ -287,7 +287,7 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
         e[n + 1 :] = gaps[n] * lam ** np.arange(1, horizon - n + 1)
     boundaries = a - e
     boundaries[0] = 0.0
-    return ShootingSolution(value, FrontierPath(boundaries, horizon), a, cap, lam, tuple(gaps))
+    return ShootingSolution(value, boundaries, a, cap, lam, tuple(gaps))
 
 
 def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -341,7 +341,7 @@ def compare_with_continuous(
 
     m, _, M_prior = _period_profiles(instance, _check_schedule(instance, report.assignment))
     cum_mass = M_prior + m  # searched mass through each period
-    deviation = float(np.max(np.abs(cum_mass - solution.path.boundaries[1:])))
+    deviation = float(np.max(np.abs(cum_mass - solution.path[1:])))
     continuous = float(solution.stage_values[-1][0])
     return ComparisonReport(
         discrete_value=report.value,

@@ -3,9 +3,9 @@
 Each run draws two uniforms: the first decides whether a feasible project
 exists at all (probability p), the second places it on [0, 1). The run
 succeeds in the first period whose search interval [l_{t-1}, l_t) covers
-the location; runs that have not succeeded by horizon_cap are censored and
-reported as still active, which includes every infeasible run since the
-searcher never observes infeasibility directly.
+the location; runs that have not succeeded by the path's last period are
+censored and reported as still active, which includes every infeasible run
+since the searcher never observes infeasibility directly.
 
 Randomness is counter-based (Philox keyed by the seed). simulate_path draws
 one run from counter block i of that stream (see substream), so any run is
@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .model import ArrayLike, ModelParams, cost_integral
-from .solver import FrontierPath
 
 # Largest run count: numpy's multinomial takes an int64 run count.
 MAX_RUNS = 2**63 - 1
@@ -33,29 +32,31 @@ MAX_RUNS = 2**63 - 1
 
 @dataclass
 class SimConfig:
+    """Runs searching along path = l_0, l_1, .., l_H, one period per boundary after l_0."""
+
     params: ModelParams
-    path: FrontierPath
+    path: np.ndarray
     runs: int
     seed: int
-    horizon_cap: int = 500
 
     def __post_init__(self):
         if not (1 <= self.runs <= MAX_RUNS):
             raise ValueError(f"runs must be in [1, 2**63 - 1 = {MAX_RUNS}], got {self.runs}")
-        if self.horizon_cap < 1:
-            raise ValueError(f"horizon_cap must be >= 1, got {self.horizon_cap}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if self.path.horizon < self.horizon_cap:
-            raise ValueError(
-                f"path covers {self.path.horizon} periods, horizon_cap needs {self.horizon_cap}"
-            )
+        if np.ndim(self.path) != 1 or len(self.path) < 2:
+            raise ValueError(f"path must be a vector of at least 2 boundaries, got shape {np.shape(self.path)}")
+
+    @property
+    def horizon_cap(self) -> int:
+        """H, the last period simulated."""
+        return len(self.path) - 1
 
 
 @dataclass
 class PathRecord:
     """One run: where the feasible project lies (None if there is none), the
-    period that finds it (None if no period up to horizon_cap does) and the
+    period that finds it (None if no period of the path does) and the
     run's discounted payoff."""
 
     hot_project: Optional[float]
@@ -65,7 +66,7 @@ class PathRecord:
 
 @dataclass
 class AggregateStats:
-    """Cross-run summaries indexed by period t = 1 .. horizon_cap.
+    """Cross-run summaries indexed by period t = 1 .. H, the path's last period.
 
     active_fraction[t-1] is the share of runs still searching when period t
     begins; success_fraction[t-1] the share that has succeeded by the end of
@@ -88,7 +89,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 def _discounted_cell_costs(config: SimConfig):
     """Per-period discounted search cost and its running sum along the plan."""
-    b = config.path.boundaries[: config.horizon_cap + 1]
+    b = config.path
     disc = config.params.delta ** np.arange(config.horizon_cap)
     cell = cost_integral(config.params.cost, b[:-1], b[1:])
     return disc, np.cumsum(disc * cell)
@@ -98,9 +99,9 @@ def simulate_path(config: SimConfig, rng: np.random.Generator) -> PathRecord:
     """One run from an explicit randomness source (see substream)."""
     u = rng.random(2)
     disc, cum_cost = _discounted_cell_costs(config)
-    b = config.path.boundaries[: config.horizon_cap + 1]
+    b = config.path
     location = float(u[1]) if u[0] < config.params.p else None
-    # first period whose interval contains the location; past the cap counts as none
+    # first period whose interval contains the location; past the path counts as none
     tau = int(np.searchsorted(b, location, side="right")) if location is not None else 0
     found = 0 < tau <= config.horizon_cap
     payoff = config.params.v * disc[tau - 1] - cum_cost[tau - 1] if found else -cum_cost[-1]
@@ -111,9 +112,9 @@ def simulate_batch(config: SimConfig) -> AggregateStats:
     """All runs as one multinomial draw of success-period counts; exact moments from the counts."""
     gen = np.random.Generator(np.random.Philox(key=config.seed))
     disc, cum_cost = _discounted_cell_costs(config)
-    b = config.path.boundaries[: config.horizon_cap + 1]
+    b = config.path
     p, runs = config.params.p, config.runs
-    # outcome t - 1 is success in period t, the last outcome is no success by the cap
+    # outcome t - 1 is success in period t, the last outcome is no success on the path
     counts = gen.multinomial(runs, np.append(p * np.diff(b), 1.0 - p * b[-1]))
     payoffs = np.append(config.params.v * disc - cum_cost, -cum_cost[-1])
 
@@ -135,11 +136,11 @@ def simulate_batch(config: SimConfig) -> AggregateStats:
     )
 
 
-def active_probability_analytic(params: ModelParams, path: FrontierPath, t: ArrayLike) -> ArrayLike:
+def active_probability_analytic(params: ModelParams, path: np.ndarray, t: ArrayLike) -> ArrayLike:
     """Exact probability a run is still active entering period t: 1 - p l_{t-1}."""
     scalar = np.ndim(t) == 0
     t = np.asarray(t, dtype=int)
-    if np.any(t < 1) or np.any(t > path.horizon + 1):
-        raise ValueError("period must satisfy 1 <= t <= horizon + 1")
-    out = 1.0 - params.p * path.boundaries[t - 1]
+    if np.any(t < 1) or np.any(t > len(path)):
+        raise ValueError("period must satisfy 1 <= t <= len(path)")
+    out = 1.0 - params.p * path[t - 1]
     return float(out) if scalar else out

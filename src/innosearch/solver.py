@@ -95,7 +95,7 @@ class ConvergenceError(RuntimeError):
     """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm
     changes) or the reverse shooting's orbit periods or orbits (history is empty)."""
 
-    def __init__(self, message: str, history: Sequence[float]):
+    def __init__(self, message: str, history: Sequence[float] = ()):
         super().__init__(message)
         self.history = list(history)
 
@@ -110,17 +110,6 @@ class SolverConfig:
 
 
 @dataclass
-class FrontierPath:
-    """Optimal frontier positions l_0 = 0, l_1, ..., l_horizon."""
-
-    boundaries: np.ndarray
-    horizon: int
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
-
-@dataclass
 class ContinuationReport:
     lhs: float
     rhs: float
@@ -130,12 +119,18 @@ class ContinuationReport:
 @dataclass
 class ValueSolution:
     params: ModelParams
-    cap: float
     nodes: np.ndarray
     values: np.ndarray
     policy: np.ndarray
-    iterations: int
     sup_norm_history: List[float]
+
+    @property
+    def cap(self) -> float:
+        return float(self.nodes[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.sup_norm_history)
 
     @property
     def cell(self) -> float:
@@ -154,20 +149,20 @@ class ValueSolution:
 
 @dataclass
 class BackwardSolution:
-    """The problem truncated to path.horizon periods of search.
+    """The problem truncated to len(path) - 1 periods of search.
 
     stage_values[k] is the value function on nodes with k periods left
-    (stage_values[0] = 0), and path the optimal frontier path from l = 0.
+    (stage_values[0] = 0), and path the optimal frontier l_0 = 0, l_1, .., l_T.
     """
 
     params: ModelParams
     nodes: np.ndarray
     stage_values: List[np.ndarray]
-    path: FrontierPath
+    path: np.ndarray
 
     @property
     def truncation(self) -> int:
-        return self.path.horizon
+        return len(self.path) - 1
 
 
 def bellman_rhs(
@@ -469,7 +464,7 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
     history for diagnostics.
     """
     config = config or SolverConfig()
-    cap, nodes, sweeps = _bellman_sweeps(params, config, EVAL_STEPS)
+    _, nodes, sweeps = _bellman_sweeps(params, config, EVAL_STEPS)
     threshold = _stop_threshold(params)
     history: List[float] = []
     for _, _, diff in itertools.islice(sweeps, MAX_SWEEPS):
@@ -484,15 +479,7 @@ def value_iteration(params: ModelParams, config: Optional[SolverConfig] = None) 
         )
     policy, values, diff = next(sweeps)
     history.append(diff)
-    return ValueSolution(
-        params=params,
-        cap=cap,
-        nodes=nodes,
-        values=values,
-        policy=policy,
-        iterations=len(history),
-        sup_norm_history=history,
-    )
+    return ValueSolution(params, nodes, values, policy, history)
 
 
 def backward_induction(
@@ -519,11 +506,11 @@ def backward_induction(
     for t in range(1, truncation + 1):
         l = _step(params, cap, nodes, stage_values[truncation - t], l)
         boundaries[t] = l
-    return BackwardSolution(params, nodes, stage_values, FrontierPath(boundaries, truncation))
+    return BackwardSolution(params, nodes, stage_values, boundaries)
 
 
-def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
-    """Forward-simulate the optimal frontier from l = 0 for `horizon` periods.
+def frontier_sequence(solution: ValueSolution, horizon: int) -> np.ndarray:
+    """Forward-simulate the optimal frontier l_0 = 0, .., l_horizon from l = 0.
 
     Each step re-maximizes at the exact current state rather than snapping to
     the grid, over [l, cap], so increments are never negative. Late
@@ -543,7 +530,7 @@ def frontier_sequence(solution: ValueSolution, horizon: int) -> FrontierPath:
             break
         l = lp
         boundaries[t] = l
-    return FrontierPath(boundaries, horizon)
+    return boundaries
 
 
 def continuation_inequality_check(

@@ -54,7 +54,7 @@ def mc_batches():
     for i, params in enumerate(sample_instances(20260817, 20)[:5]):
         sol = value_iteration(params, SOLVER)
         path = frontier_sequence(sol, 200)
-        config = SimConfig(params, path, 100_000, 1000 + i, 200)
+        config = SimConfig(params, path, 100_000, 1000 + i)
         out.append((params, sol, config, simulate_batch(config)))
     return out
 
@@ -69,16 +69,16 @@ def test_acceptance_1_search_never_stops(capsys):
     for idx, params in enumerate(sample_instances(20260817, 20)):
         sol = value_iteration(params, SOLVER)
         path = frontier_sequence(sol, 200)
-        inc = np.diff(path.boundaries)
+        inc = np.diff(path)
         if np.any(inc < 0.0):
             failures.append(f"instance {idx}: frontier moved backward")
-        if np.any(path.boundaries > sol.cap + 1e-12):
+        if np.any(path > sol.cap + 1e-12):
             failures.append(f"instance {idx}: frontier crossed the cap")
-        gap_cells = (sol.cap - float(path.boundaries[-1])) / sol.cell
+        gap_cells = (sol.cap - float(path[-1])) / sol.cell
         if gap_cells > 10.0:
             failures.append(f"instance {idx}: path stalled {gap_cells:.1f} cells under the cap")
         shot = optimal_path(params, 200)
-        r, b = shot.limit, shot.path.boundaries
+        r, b = shot.limit, shot.path
         shot_inc = np.diff(b)
         # the exact increment is about (1 - lambda)(r - l_t); where it spans two doubles the path must move
         strict = (1.0 - shot.tail_rate) * (r - b[:-1]) > 2.0 * math.ulp(r)
@@ -164,7 +164,7 @@ def test_acceptance_3_final_period_boundary(capsys, base_params):
     residuals = []
     for horizon in (1, 2, 5):
         bsol = backward_induction(base_params, horizon, SOLVER)
-        boundaries = bsol.path.boundaries
+        boundaries = bsol.path
         l_prev, l_last = float(boundaries[-2]), float(boundaries[-1])
         denom = (1.0 - l_prev) * p + (1.0 - p)
         resid = p * v / denom - float(cost_density(base_params.cost, l_last))
@@ -190,7 +190,7 @@ def test_acceptance_4_truncation_never_optimal(capsys, base_params):
     for horizon in (1, 2, 5):
         shorter = backward_induction(base_params, horizon, SOLVER)
         longer = backward_induction(base_params, horizon + 1, SOLVER)
-        boundaries = shorter.path.boundaries
+        boundaries = shorter.path
         l_prev, l_last = float(boundaries[-2]), float(boundaries[-1])
         candidates = [l_last + 1e-3 * f for f in (0.1, 0.5, 1.0)]
         checks = continuation_inequality_check(base_params, l_prev, l_last, candidates)
@@ -219,7 +219,7 @@ def test_acceptance_5_active_share_tracks_analytic(capsys, mc_batches):
     failures = []
     worst_z = 0.0
     for idx, (params, sol, config, stats) in enumerate(mc_batches):
-        analytic = 1.0 - params.p * np.asarray(config.path.boundaries[:-1], dtype=float)
+        analytic = 1.0 - params.p * config.path[:-1]
         sigma = np.sqrt(analytic * (1.0 - analytic) / config.runs)
         band = 3.0 * sigma + 1e-12
         err = np.abs(stats.active_fraction - analytic)
@@ -288,7 +288,7 @@ def test_acceptance_7_numerical_hygiene(capsys, base_params, base_solution, base
         failures.append(f"Bellman residual {resid:.2e} above 10 TOL p v")
 
     euler_worst = 0.0
-    for l in [float(base_path.boundaries[t]) for t in (0, 1, 2, 5)]:
+    for l in [float(base_path[t]) for t in (0, 1, 2, 5)]:
         e = euler_residual(base_params, base_solution, l)
         if e is not None:
             euler_worst = max(euler_worst, abs(e))

@@ -49,7 +49,7 @@ def test_agrees_with_the_pinned_references():
     for entry in entries:
         shot = optimal_path(instance(entry), 1)
         assert abs(shot.value - entry["w0_ref"]) <= 1e-14, entry["id"]
-        assert abs(shot.path.boundaries[1] - entry["l1_ref"]) <= 1e-10, entry["id"]
+        assert abs(shot.path[1] - entry["l1_ref"]) <= 1e-10, entry["id"]
 
 
 def test_canonical_value_and_limit():
@@ -57,7 +57,7 @@ def test_canonical_value_and_limit():
     assert shot.value == pytest.approx(0.32937698524932696, abs=1e-15)
     # the limit is the crossing 2 - sqrt(2), the largest double at or below it
     assert shot.limit == 0.5857864376269049
-    assert shot.path.boundaries[0] == 0.0 and shot.path.horizon == 200
+    assert shot.path[0] == 0.0 and len(shot.path) == 201
 
 
 def test_multi_root_instance_converges_to_the_first_crossing():
@@ -68,7 +68,7 @@ def test_multi_root_instance_converges_to_the_first_crossing():
     assert shot.value == pytest.approx(0.020188552785, abs=1e-11)
     assert shot.limit == pytest.approx(0.2275168, abs=1e-7)
     assert search_upper_bound(params) > 1.0 - 1e-8
-    assert np.all(shot.path.boundaries <= shot.limit)
+    assert np.all(shot.path <= shot.limit)
 
 
 @pytest.mark.parametrize("family, v", [("reciprocal", 1e11), ("logarithmic", 10.0)])
@@ -77,7 +77,7 @@ def test_path_reaching_the_edge(family, v):
     params = ModelParams(0.99, v, 0.9, CostModel(family, 0.0, 1.0))
     edge = 1.0 - BISECT_EDGE
     shot = optimal_path(params, 20)
-    b = shot.path.boundaries
+    b = shot.path
     assert shot.limit == edge == search_upper_bound(params)
     assert shot.tail_rate == 0.0
     reached = int(np.argmax(b == edge))
@@ -91,7 +91,7 @@ def test_tail_rate_matches_late_increment_ratios(cost):
     shot = optimal_path(ModelParams(0.5, 2.0, 0.9, cost), 200)
     lam, r = shot.tail_rate, shot.limit
     assert 0.0 < lam < 1.0
-    b = shot.path.boundaries
+    b = shot.path
     inc = np.diff(b)
     # periods of the shot orbit itself, before the linearized tail takes over
     gap = r - b[1:-1]
@@ -118,7 +118,7 @@ def test_value_table_rows(name):
     l, w, policy = foc.value_table(params, shot)
     r = shot.limit
     # the path's own first row, then rows sorted by l over [0, r], ending at (r, 0, r)
-    assert (l[0], w[0], policy[0]) == (0.0, shot.value, shot.path.boundaries[1])
+    assert (l[0], w[0], policy[0]) == (0.0, shot.value, shot.path[1])
     assert (l[-1], w[-1], policy[-1]) == (r, 0.0, r)
     assert np.all(np.diff(l) >= 0.0) and np.all(policy <= r)
     inside = l < r
@@ -151,8 +151,9 @@ def test_rejections():
 
 def test_running_out_of_steps_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(foc, "MAX_STEPS", 2)
-    with pytest.raises(ConvergenceError, match="within 2 periods"):
+    with pytest.raises(ConvergenceError, match="within 2 periods") as err:
         optimal_path(ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0)), 10)
+    assert err.value.history == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -172,7 +173,7 @@ def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
     except OutOfRangeError:
         assume(False)
     r, lam = shot.limit, shot.tail_rate
-    b = shot.path.boundaries
+    b = shot.path
     assert math.isfinite(shot.value)
     assert r <= shot.cap == search_upper_bound(params)
     assert 0.0 <= lam < 1.0
@@ -188,4 +189,4 @@ def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
     assert np.all(policy[l < r] > l[l < r])
     # the grid's path is a feasible plan, and its payoff can only fall short of the optimum
     grid_path = frontier_sequence(value_iteration(params, SolverConfig(grid_size=512)), 2000)
-    assert shot.value >= plan_payoff(params, grid_path.boundaries) - 1e-14 * abs(shot.value)
+    assert shot.value >= plan_payoff(params, grid_path) - 1e-14 * abs(shot.value)

@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "__version__",
     "CostFamily", "CostModel", "ModelParams", "cost_density", "cost_integral",
     "feasible_to_search", "myopic_boundary", "posterior_feasible", "search_upper_bound",
-    "ConvergenceError", "FrontierPath", "SolverConfig", "backward_induction",
+    "ConvergenceError", "SolverConfig", "backward_induction",
     "bellman_rhs", "continuation_inequality_check", "euler_residual", "frontier_sequence",
     "value_iteration", "optimal_path",
     "Assignment", "BudgetExceededError", "DiscreteInstance", "best_assignment_report",

@@ -4,7 +4,6 @@ from scipy.stats import chi2_contingency, chisquare
 
 from innosearch import (
     CostModel,
-    FrontierPath,
     ModelParams,
     SimConfig,
     cost_integral,
@@ -17,12 +16,12 @@ from innosearch.simulate import (
     substream,
 )
 
-TINY_PATH = FrontierPath(np.array([0.0, 0.3, 0.5]), 2)
+TINY_PATH = np.array([0.0, 0.3, 0.5])
 
 
-def tiny_config(runs=200, seed=404, cap=2):
+def tiny_config(runs=200, seed=404):
     params = ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0))
-    return SimConfig(params, TINY_PATH, runs, seed, cap)
+    return SimConfig(params, TINY_PATH, runs, seed)
 
 
 def collect_records(config):
@@ -30,7 +29,7 @@ def collect_records(config):
 
 
 def batch_counts(result, runs):
-    """Runs succeeding in each period 1..cap, then runs never succeeding, from a batch of runs."""
+    """Runs succeeding in each period 1..H, then runs never succeeding, from a batch of runs."""
     succ = np.diff((result.success_fraction * runs).round().astype(int), prepend=0)
     return np.append(succ, runs - succ.sum())
 
@@ -48,7 +47,7 @@ def test_batch_and_per_run_histograms_share_one_law():
     config = tiny_config(runs=3000, seed=2024)
     batch = batch_counts(simulate_batch(config), config.runs)
     per_run = path_counts(collect_records(config), config.horizon_cap)
-    p, b = config.params.p, TINY_PATH.boundaries
+    p, b = config.params.p, TINY_PATH
     exact = np.append(p * np.diff(b), 1.0 - p * b[-1])
     for counts in (batch, per_run):
         assert counts.sum() == config.runs
@@ -59,7 +58,7 @@ def test_batch_and_per_run_histograms_share_one_law():
 def test_batch_moments_are_exact_in_the_counts():
     config = tiny_config(runs=300)
     params = config.params
-    b = TINY_PATH.boundaries
+    b = TINY_PATH
     cost1 = float(cost_integral(params.cost, b[0], b[1]))
     cost2 = float(cost_integral(params.cost, b[1], b[2]))
     by_hand = np.array([
@@ -103,7 +102,7 @@ def test_active_fraction_shape():
 
 def test_record_semantics():
     config = tiny_config(runs=400)
-    b = TINY_PATH.boundaries
+    b = TINY_PATH
     seen_censored_feasible = seen_success = seen_infeasible = False
     for r in collect_records(config):
         if r.success_period is None:
@@ -122,7 +121,7 @@ def test_record_semantics():
 def test_payoff_accounting_by_hand():
     config = tiny_config(runs=300)
     params = config.params
-    b = TINY_PATH.boundaries
+    b = TINY_PATH
     cost1 = float(cost_integral(params.cost, b[0], b[1]))
     cost2 = float(cost_integral(params.cost, b[1], b[2]))
     for r in collect_records(config):
@@ -149,7 +148,7 @@ def test_analytic_active_probability():
 
 
 def test_aggregate_tracks_analytic(base_params, base_path):
-    config = SimConfig(base_params, base_path, 20_000, 99, 50)
+    config = SimConfig(base_params, base_path[:51], 20_000, 99)
     stats = simulate_batch(config)
     t = np.arange(1, 51)
     analytic = active_probability_analytic(base_params, base_path, t)
@@ -160,36 +159,45 @@ def test_aggregate_tracks_analytic(base_params, base_path):
 
 
 def test_mean_payoff_near_value(base_params, base_solution, base_path):
-    stats = simulate_batch(SimConfig(base_params, base_path, 20_000, 99, 200))
+    stats = simulate_batch(SimConfig(base_params, base_path, 20_000, 99))
     z = (stats.mean_discounted_payoff - base_solution.values[0]) / stats.payoff_standard_error
     assert abs(z) < 4.0
 
 
 def test_horizon_cap_one():
-    path = FrontierPath(np.array([0.0, 0.35]), 1)
     params = tiny_config().params
-    stats = simulate_batch(SimConfig(params, path, 1000, 5, 1))
+    config = SimConfig(params, np.array([0.0, 0.35]), 1000, 5)
+    assert config.horizon_cap == 1
+    stats = simulate_batch(config)
     assert stats.active_fraction.shape == (1,)
     assert stats.active_fraction[0] == 1.0
     expected_success = params.p * 0.35
     assert stats.success_fraction[0] == pytest.approx(expected_success, abs=0.05)
 
 
-def test_config_validation(base_path):
+def test_config_validation():
     params = tiny_config().params
     with pytest.raises(ValueError):
-        SimConfig(params, TINY_PATH, 0, 1, 2)
+        SimConfig(params, TINY_PATH, 0, 1)
     with pytest.raises(ValueError):
-        SimConfig(params, TINY_PATH, 10, 2**64, 2)
-    with pytest.raises(ValueError):
-        SimConfig(params, TINY_PATH, 10, 1, 3)  # cap longer than the path
-    with pytest.raises(ValueError):
-        SimConfig(params, TINY_PATH, 10, 1, 0)
+        SimConfig(params, TINY_PATH, 10, 2**64)
+    for path in (np.float64(0.3), np.array([[0.0, 0.3, 0.5]]), np.array([0.0])):
+        with pytest.raises(ValueError, match="at least 2 boundaries"):
+            SimConfig(params, path, 10, 1)
+
+
+def test_batch_simulates_every_period_of_its_path(base_params, base_path):
+    for periods in (2, 50, 200):
+        config = SimConfig(base_params, base_path[: periods + 1], 1000, 3)
+        assert config.horizon_cap == periods
+        stats = simulate_batch(config)
+        for series in (stats.active_fraction, stats.success_fraction, stats.confidence_halfwidths):
+            assert series.shape == (periods,)
 
 
 def test_run_count_is_bounded_by_the_multinomial():
     params = tiny_config().params
-    largest = simulate_batch(SimConfig(params, TINY_PATH, MAX_RUNS, 1, 2))
+    largest = simulate_batch(SimConfig(params, TINY_PATH, MAX_RUNS, 1))
     assert largest.success_fraction == pytest.approx([0.15, 0.25], abs=1e-9)
     with pytest.raises(ValueError, match=str(MAX_RUNS)):
-        SimConfig(params, TINY_PATH, MAX_RUNS + 1, 1, 2)
+        SimConfig(params, TINY_PATH, MAX_RUNS + 1, 1)

@@ -91,6 +91,12 @@ def test_canonical_regression(base_solution):
     assert sol.cap == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
 
 
+def test_cap_and_iterations_are_read_from_the_solution(base_params, base_solution, log_params):
+    for params, sol in ((base_params, base_solution), (log_params, value_iteration(log_params))):
+        assert sol.cap == sol.nodes[-1] == search_upper_bound(params)
+        assert sol.iterations == len(sol.sup_norm_history)
+
+
 def test_agreement_with_long_truncated_horizon(base_params, base_solution):
     # an independent route to the same function: 500 backward sweeps from
     # zero on a finer grid; the tail the truncation drops is worth < 1e-9
@@ -215,7 +221,7 @@ def test_solver_config_validation():
 
 def test_single_period_is_myopic(base_params):
     bsol = backward_induction(base_params, 1, SolverConfig(grid_size=2048))
-    assert bsol.path.boundaries[1] == pytest.approx(0.5, abs=1e-10)
+    assert bsol.path[1] == pytest.approx(0.5, abs=1e-10)
     assert bsol.stage_values[1][0] == pytest.approx(ONE_PERIOD_AT_HALF, abs=1e-9)
 
 
@@ -238,7 +244,7 @@ def test_final_stage_first_order_condition(base_params):
     p, v = base_params.p, base_params.v
     for truncation in (1, 2, 5):
         bsol = backward_induction(base_params, truncation, SolverConfig(grid_size=2048))
-        l_prev, l_last = bsol.path.boundaries[-2], bsol.path.boundaries[-1]
+        l_prev, l_last = bsol.path[-2], bsol.path[-1]
         resid = cost_density(base_params.cost, l_last) - p * v / (1.0 - l_prev * p)
         assert abs(resid) < 1e-14 * p * v
 
@@ -264,7 +270,7 @@ def test_two_period_value_against_nested_closed_form(base_params):
     )
     bsol = backward_induction(base_params, 2, SolverConfig(grid_size=2048))
     assert bsol.stage_values[2][0] == pytest.approx(-opt.fun, abs=1e-6)
-    assert bsol.path.boundaries[1] == pytest.approx(opt.x, abs=5e-4)
+    assert bsol.path[1] == pytest.approx(opt.x, abs=5e-4)
 
 
 @pytest.mark.parametrize("which", ["base", "log"])
@@ -320,13 +326,12 @@ def test_backward_rejects_bad_truncation(base_params):
 
 def test_frontier_sequence_shape(base_solution, base_path):
     path = base_path
-    assert path.boundaries[0] == 0.0
-    assert len(path.boundaries) == path.horizon + 1
-    inc = path.increments()
-    assert np.all(inc >= 0.0)
-    assert np.all(path.boundaries <= base_solution.cap + 1e-12)
+    assert path[0] == 0.0
+    assert path.shape == (201,)
+    assert np.all(np.diff(path) >= 0.0)
+    assert np.all(path <= base_solution.cap + 1e-12)
     # the path walks most of the way to the cap within 200 periods
-    assert base_solution.cap - path.boundaries[-1] < 10 * base_solution.cell
+    assert base_solution.cap - path[-1] < 10 * base_solution.cell
 
 
 def test_stopped_plan_is_underbid_nearby(base_params):
@@ -356,7 +361,7 @@ def test_one_shot_marginal_condition(base_params):
 
 
 def test_euler_residual_small_on_path(base_params, base_solution, base_path):
-    for l in (0.0, float(base_path.boundaries[1]), float(base_path.boundaries[3])):
+    for l in (0.0, float(base_path[1]), float(base_path[3])):
         resid = euler_residual(base_params, base_solution, l)
         assert resid is not None
         assert abs(resid) < 1e-3
@@ -489,7 +494,7 @@ def test_frontier_sequence_matches_stepwise_policy(which, base_solution, log_sol
 
     monkeypatch.setattr(ValueSolution, "policy_at", counting)
     path = frontier_sequence(sol, horizon)
-    assert np.array_equal(path.boundaries, stepwise)
+    assert np.array_equal(path, stepwise)
     # at most one maximization per distinct state, and none past the fixed point
     assert len(calls) == len(set(calls)) <= len(set(stepwise.tolist()))
     assert len(calls) < horizon
@@ -569,5 +574,5 @@ def test_solution_invariants_over_the_domain(p, v, delta, family, c0, k):
     assert np.all(np.isfinite(sol.values))
     assert np.all(sol.values >= 0.0) and np.all(sol.values <= p * v)
     assert np.all(sol.policy >= sol.nodes) and np.all(sol.policy <= sol.cap)
-    b = frontier_sequence(sol, 50).boundaries
+    b = frontier_sequence(sol, 50)
     assert np.all(np.diff(b) >= 0.0) and np.all(b <= sol.cap)
