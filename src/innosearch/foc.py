@@ -59,7 +59,6 @@ from .model import (
     BISECT_EDGE,
     CostFamily,
     ModelParams,
-    _cap_of,
     _density_slope,
     _limit_candidates,
     _marginal_excess,
@@ -142,10 +141,12 @@ def _tail_rate(params: ModelParams, a: float) -> float:
     c = cost_density(params.cost, a)
     gamma = (_density_slope(params.cost, a) * (1.0 - p * a) - p * c) / (p * c)
     h = (1.0 - delta) / delta
-    sigma = 2.0 + h * (1.0 + gamma)
-    disc = max(4.0 * h * gamma + (h * (1.0 + gamma)) ** 2, 0.0)
+    b = h * (1.0 + gamma)
+    disc = 4.0 * h * gamma + b * b
+    # where b^2 overflows, sqrt(disc) = b sqrt(1 + 4 gamma / ((1 + gamma) b)), with 1 + gamma > 0
+    root = math.sqrt(max(disc, 0.0)) if disc < math.inf else b * math.sqrt(1.0 + 4.0 * gamma / ((1.0 + gamma) * b))
     # the product of the two roots is 1 / delta
-    return (2.0 / delta) / (sigma + math.sqrt(disc))
+    return (2.0 / delta) / (2.0 + b + root)
 
 
 def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Callable, float]:
@@ -188,7 +189,7 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
     # later (exactly at the edge, up to the linearization at a crossing), so its
     # l after as many steps is still positive
     hi = back(0.0, 0.0) if edge else START_GAP * min(a, 1.0 - a)
-    while True:
+    for _ in range(MAX_SHOTS):
         best = orbit(hi)
         steps = len(best) - 2
         lo = lam * hi
@@ -196,6 +197,8 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
         if low[-1] < a:
             break
         hi = lo
+    else:
+        raise ConvergenceError(f"no bracket for l_0 = 0 was found within {MAX_SHOTS} orbits")
     # Illinois: a secant on l after `steps` steps, its stale end's weight halved
     l_lo, l_hi = a - low[-1], a - best[-1]
     w_lo, w_hi, side = l_lo, l_hi, 0
@@ -252,10 +255,8 @@ def _payoff(params: ModelParams, gaps: List[float], lam: float, term: Callable) 
 def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     """The optimal frontier path from l = 0 for `horizon` periods and its value W(0).
 
-    Shoots from every candidate limit (model._limit_candidates) and keeps the
-    path with the largest W(0). A crossing limit is taken no higher than
-    search_upper_bound's cap j*, so the path never leaves the solver's state
-    space.
+    Shoots from every candidate limit (model._limit_candidates), the last of which is j*,
+    and keeps the path with the largest W(0).
     Raises ValueError when searching is not worthwhile (p v <= c(0)) or the
     horizon is below 1, OutOfRangeError when q* lies beyond the solver's
     edge, and ConvergenceError when an orbit needs more than MAX_STEPS
@@ -265,18 +266,15 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not feasible_to_search(params):
         raise ValueError("searching is not worthwhile: p v <= c(0)")
-    edge = 1.0 - BISECT_EDGE
     candidates = _limit_candidates(params)
-    cap = _cap_of(params, candidates)
     best = None
     for a in candidates:
-        limit = min(a, cap)
         try:
-            value, gaps, lam = _shoot(params, limit, a == edge)
+            value, gaps, lam = _shoot(params, a, a == 1.0 - BISECT_EDGE)
         except _Unreachable:
             continue
         if best is None or value > best[0]:
-            best = (value, gaps, lam, limit)
+            best = (value, gaps, lam, a)
     if best is None:
         raise ConvergenceError("every orbit turns back before l = 0: no increasing path was found")
     value, gaps, lam, a = best
@@ -287,7 +285,7 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
         e[n + 1 :] = gaps[n] * lam ** np.arange(1, horizon - n + 1)
     boundaries = a - e
     boundaries[0] = 0.0
-    return ShootingSolution(value, boundaries, a, cap, lam, tuple(gaps))
+    return ShootingSolution(value, boundaries, a, candidates[-1], lam, tuple(gaps))
 
 
 def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,8 +315,11 @@ def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray
         starts[starts <= 0.0] += e_max
     rows = []
     for i, start in enumerate(starts.tolist()):
-        # the shot orbit keeps its l_0 = 0; any other drops its step past l = 0
-        es = list(shot.orbit[::-1]) if i == 0 else _orbit(back, lam, a, start)[:-1]
+        # the shot orbit keeps its l_0 = 0, any other drops its step past l = 0 or, turning back, gives no rows
+        try:
+            es = list(shot.orbit[::-1]) if i == 0 else _orbit(back, lam, a, start)[:-1]
+        except _Unreachable:
+            continue
         u = _payoff(params, es[1::-1], lam, term)
         rows.append((a - es[1], u / (pa + p * es[1]), a - es[0]))
         for e_next, e in zip(es[1:], es[2:]):

@@ -205,12 +205,15 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
     x / (1 + x) for the reciprocal family and 1 - exp(-x), taken as
     -expm1(-x), for the logarithmic one: no cancellation, so a root near 0
     keeps its relative precision. Raises OutOfRangeError when the root lies
-    above 1 - BISECT_EDGE, outside the solver's range.
+    above 1 - BISECT_EDGE, outside the solver's range, or when c overflows there.
     """
     pv = params.p * params.v
     if pv <= params.cost.c0:
         return None
-    edge_cost = cost_density(params.cost, 1.0 - BISECT_EDGE)
+    with np.errstate(over="ignore"):
+        edge_cost = cost_density(params.cost, 1.0 - BISECT_EDGE)
+    if edge_cost == math.inf:
+        raise OutOfRangeError(f"c(1 - {BISECT_EDGE:g}), the marginal cost at the edge of the solver's range, overflows")
     if pv > edge_cost:
         raise OutOfRangeError(
             f"p v = {pv:g} exceeds c(1 - {BISECT_EDGE:g}) = {edge_cost:g}, the marginal cost at "
@@ -252,7 +255,9 @@ def _excess_is_positive(params: ModelParams, j: float) -> bool:
         ctx.prec = EXACT_DIGITS
         jd, p, c0, k = (decimal.Decimal(z) for z in (j, params.p, cost.c0, cost.k))
         x = decimal.Decimal(params.p * params.v) - c0
-        phi = jd / (1 - jd) if cost.family is CostFamily.RECIPROCAL else -(1 - jd).ln()
+        # 1 - j exactly: rounded, it would cost log(1 - j) its digits when j is tiny
+        w = decimal.Context(prec=decimal.MAX_PREC).subtract(1, jd)
+        phi = jd / w if cost.family is CostFamily.RECIPROCAL else -w.ln()
         return k * phi * (1 - jd * p) - x - jd * p * c0 > 0
 
 
@@ -315,20 +320,9 @@ def search_upper_bound(params: ModelParams) -> Optional[float]:
     that could be profitable. If no crossing occurs below 1 - BISECT_EDGE the
     edge itself is returned.
 
-    The crossing is _limit_candidates' last, exact to the double below it.
-    The cap is then the sign change nearest it of the equation evaluated as
-    written in floating point, c(j)(1 - jp) - p v; where c0 is close to p v
-    that form is noisy across many doubles about the root, so the cap can
-    differ from the root by that noise, but it depends on the root alone.
+    It is _limit_candidates' last: the largest double at or below the exact root, or the edge.
 
     Returns None when searching is infeasible outright (p v <= c(0)).
     """
-    return _cap_of(params, _limit_candidates(params))
-
-
-def _cap_of(params: ModelParams, candidates: Tuple[float, ...]) -> Optional[float]:
-    """search_upper_bound, given _limit_candidates(params)."""
-    if not candidates or candidates[-1] == 1.0 - BISECT_EDGE:
-        return candidates[-1] if candidates else None
-    pv = params.p * params.v
-    return _settle(lambda j: cost_density(params.cost, j) * (1.0 - j * params.p) - pv > 0.0, candidates[-1])
+    candidates = _limit_candidates(params)
+    return candidates[-1] if candidates else None

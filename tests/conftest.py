@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,19 @@ def base_solution(base_params):
 @pytest.fixture(scope="session")
 def base_path(base_solution):
     return frontier_sequence(base_solution, 200)
+
+
+@pytest.fixture
+def time_limit():
+    """signal.alarm, with the alarm raising TimeoutError: a test that would hang fails instead."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def random_params(rng, family_index=0):

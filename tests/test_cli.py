@@ -46,6 +46,8 @@ def test_solve_default_instance(tmp_path, capsys):
     assert summary["value_at_zero"] == pytest.approx(0.32937698524932696, abs=1e-12)
     assert summary["q_star"] == pytest.approx(0.5, abs=1e-12)
     assert summary["j_star"] == pytest.approx(2.0 - 2.0**0.5, abs=1e-10)
+    # one crossing: the path's limit is the cap itself
+    assert summary["j_star"] == summary["limit_frontier"]
 
     table = read_csv(out, "frontier")
     assert table[0][:3] == ["t", "frontier", "increment"]
@@ -345,6 +347,7 @@ def test_solve_when_search_barely_pays(tmp_path, family):
     assert main(argv + ["--out", out]) == EXIT_OK
     summary = read_json(out, "summary")
     assert 0.0 < summary["j_star"] <= 1e-12
+    assert summary["j_star"] == summary["limit_frontier"]
     assert 0.0 <= summary["value_at_zero"] < 1e-20
     # c(q) = p v in closed form, x = (p v - c0) / k = 4.4e-16
     x = 0.5 * 2.000000000000001 - 1.0
@@ -366,6 +369,36 @@ def test_solve_path_reaching_the_cap(tmp_path, family, v):
     assert all(float(row[increment]) == 0.0 for row in at_cap[1:])
     states = [row[0] for row in read_json(out, "value")["rows"]]
     assert states[-1] <= j_star
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--param", "scale", "--values", "1e296"],
+        ["sweep", "--param", "scale", "--values", "2e296"],
+        ["sweep", "--param", "scale", "--values", "1e298"],
+        ["solve", "--delta", "1e-300"],
+        ["solve", "--p", "1e-160", "--v", "1e160"],
+        ["solve", "--p", "1e-300", "--v", "1e300"],
+    ],
+    ids=["scale-1e296", "scale-2e296", "scale-1e298", "delta-1e-300", "p-1e-160", "p-1e-300"],
+)
+def test_extreme_instances_solve_or_fail_precisely(tmp_path, time_limit, argv):
+    # each solves or fails with a listed code, never with a traceback or a hang
+    out = str(tmp_path / "run")
+    time_limit(60)
+    code = main(argv + ["--horizon", "20", "--out", out])
+    assert code in (EXIT_OK, EXIT_CONVERGENCE, EXIT_OUT_OF_RANGE)
+    if code != EXIT_OK:
+        return
+    if argv[0] == "sweep":
+        data = read_json(out, "sweep")
+        (row,) = [dict(zip(data["columns"], r)) for r in data["rows"]]
+        # W scales with v, c0 and k; 0.32937698524932696 is W(0) at scale 1
+        assert row["value_at_zero"] / row["value"] == pytest.approx(0.32937698524932696, abs=1e-12)
+    else:
+        # p v = 1 = c(1/2) with next to no continuation: the one-shot value 1 - log 2
+        assert read_json(out, "summary")["value_at_zero"] == pytest.approx(1.0 - math.log(2.0), abs=1e-12)
 
 
 # command: (argv, JSON documents, tables, charts)

@@ -156,6 +156,14 @@ def test_running_out_of_steps_is_a_convergence_error(monkeypatch):
     assert err.value.history == []
 
 
+def test_a_nan_orbit_is_a_convergence_error(monkeypatch, time_limit):
+    # an orbit of NaNs never brackets l_0 = 0: the bracket search gives up instead of looping
+    monkeypatch.setattr(foc, "_tail_rate", lambda params, a: math.nan)
+    time_limit(10)
+    with pytest.raises(ConvergenceError, match=f"within {foc.MAX_SHOTS} orbits"):
+        optimal_path(ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0)), 10)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(["reciprocal", "logarithmic"]),

@@ -244,6 +244,16 @@ def test_myopic_boundary_beyond_solver_edge_is_named():
         search_upper_bound(beyond)
 
 
+@pytest.mark.parametrize("cost", [CostModel.reciprocal(0.0, 2e296), CostModel.logarithmic(0.0, 1e307)])
+def test_overflowing_edge_cost_is_out_of_range(cost):
+    # g would read inf - inf = NaN near the edge: such scales are refused, not bisected
+    params = params_with(cost, v=cost.k)
+    with pytest.raises(OutOfRangeError, match="overflows"):
+        myopic_boundary(params)
+    with pytest.raises(OutOfRangeError, match="overflows"):
+        search_upper_bound(params)
+
+
 def test_search_cap_canonical_value():
     # c(j) (1 - j p) = p v with p = 1/2, v = 2 reduces to j^2 - 4 j + 2 = 0
     assert search_upper_bound(params_with(REC)) == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
@@ -286,6 +296,10 @@ def test_search_cap_when_search_barely_pays(cost):
     q, cap = myopic_boundary(params), search_upper_bound(params)
     assert 0.0 < q < cap < 1e-14
     assert g(cap) <= 0.0 <= g(np.nextafter(cap, 1.0))
+    # the largest doubles at or below the roots: 2^-50 / (1 + 2^-50) lies 2^-150 above the
+    # double 2^-50 - 2^-100, and the logarithmic root 2^-50 - j^3/6 + ... lies 1e-46 below 2^-50
+    assert cap == {"reciprocal": 8.881784197001244e-16, "logarithmic": 8.881784197001251e-16}[cost.family.value]
+    assert exact_excess(params, cap) <= 0 < exact_excess(params, math.nextafter(cap, 1.0))
 
 
 def test_search_cap_exceeds_myopic_boundary():
@@ -321,6 +335,20 @@ def test_model_params_validation():
         ModelParams(0.5, 2.0, 0.0, REC)
 
 
+def exact_excess(params, j):
+    """g(j) = c(j)(1 - jp) - p v for the doubles j, p, c0, k and p v: a Fraction for the
+    reciprocal family, exact, and a 60-digit Decimal for the logarithmic one."""
+    cost = params.cost
+    pv = params.p * params.v
+    if cost.family.value == "reciprocal":
+        j, p, c0, k = (Fraction(z) for z in (j, params.p, cost.c0, cost.k))
+        return (c0 + k * j / (1 - j)) * (1 - j * p) - Fraction(pv)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        j, p, c0, k = (Decimal(z) for z in (j, params.p, cost.c0, cost.k))
+        return (c0 - k * (1 - j).ln()) * (1 - j * p) - Decimal(pv)
+
+
 def exact_one_shot_boundary(params):
     """q* for the float p v as a Fraction: exact, or to 100 digits for the logarithmic exp."""
     cost = params.cost
@@ -348,9 +376,8 @@ def test_roots_are_exact(family, p, v, share, k):
     q = myopic_boundary(params)
     ref = exact_one_shot_boundary(params)
     assert abs(Fraction(q) - ref) <= 4 * Fraction(math.ulp(float(ref)))
-    # the cap brackets a root of g to adjacent doubles, or is the edge where g <= 0 throughout
-    g = lambda j: cost_density(cost, j) * (1.0 - j * p) - p * v
+    # the cap is the largest double at which g <= 0 before g turns positive, or the edge
     cap = search_upper_bound(params)
     assert q < cap
-    assert g(cap) <= 0.0
-    assert cap == 1.0 - BISECT_EDGE or g(np.nextafter(cap, 1.0)) >= 0.0
+    assert exact_excess(params, cap) <= 0
+    assert cap == 1.0 - BISECT_EDGE or exact_excess(params, math.nextafter(cap, 1.0)) > 0
