@@ -36,10 +36,10 @@ condition at the edge holds with equality.
 
 The start is found by a bracketed secant (Illinois) on l_0, down to
 adjacent doubles. Every candidate limit is shot, and the path with the
-largest W(0) wins: on a multi-root instance the first crossing, not the
-grid's cap j*, is the limit. A candidate whose orbit turns back before
-l = 0, caught by a downward crossing of g below it, has no increasing path
-and is passed over.
+largest W(0) wins: on a multi-root instance the limit may be any of the
+crossings, the cap j* or one below it. A candidate whose orbit turns back
+before l = 0, caught by a downward crossing of g below it, has no increasing
+path and is passed over.
 
 Orbits over one fundamental domain, the shot orbit among them, pass through
 every state of [0, a] the plan visits from 0: each orbit point is a pair
@@ -59,6 +59,7 @@ from .model import (
     BISECT_EDGE,
     CostFamily,
     ModelParams,
+    OutOfRangeError,
     _density_slope,
     _limit_candidates,
     _marginal_excess,
@@ -139,8 +140,14 @@ def _tail_rate(params: ModelParams, a: float) -> float:
     """lambda in (0, 1): the stable root of the first-order condition linearized at the crossing a."""
     p, delta = params.p, params.delta
     c = cost_density(params.cost, a)
+    if p * c == 0.0:
+        raise OutOfRangeError(f"p c(a) underflows to 0 at the limit a = {a!r}: the tail rate is out of range")
     gamma = (_density_slope(params.cost, a) * (1.0 - p * a) - p * c) / (p * c)
     h = (1.0 - delta) / delta
+    if h == math.inf:
+        # a subnormal delta: the root below with numerator and denominator times delta
+        b = (1.0 - delta) * (1.0 + gamma)
+        return 2.0 / (2.0 * delta + b + math.sqrt(4.0 * delta * (1.0 - delta) * gamma + b * b))
     b = h * (1.0 + gamma)
     disc = 4.0 * h * gamma + b * b
     # where b^2 overflows, sqrt(disc) = b sqrt(1 + 4 gamma / ((1 + gamma) b)), with 1 + gamma > 0
@@ -259,8 +266,8 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     and keeps the path with the largest W(0).
     Raises ValueError when searching is not worthwhile (p v <= c(0)) or the
     horizon is below 1, OutOfRangeError when q* lies beyond the solver's
-    edge, and ConvergenceError when an orbit needs more than MAX_STEPS
-    periods or the shooting more than MAX_SHOTS orbits.
+    edge or p c(a) underflows to 0 at a limit a, and ConvergenceError when an
+    orbit needs more than MAX_STEPS periods or the shooting more than MAX_SHOTS orbits.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -284,41 +284,48 @@ def _limit_candidates(params: ModelParams) -> Tuple[float, ...]:
     """Every upward crossing of g = c(j)(1 - jp) - p v above q*, in increasing order,
     then the edge 1 - BISECT_EDGE if g <= 0 there; () when p v <= c(0).
 
-    The crossings are found on a geometric ladder from q*, where g = -q* p (p v) < 0,
-    to the edge, each bisected to adjacent doubles with _marginal_excess between its
-    ladder point with g <= 0 and the next one, where g > 0, and then settled on the
-    sign change of g itself (_excess_is_positive): the largest double at or below
-    the root. When q* is tiny, g(q*) can round positive; the ladder then starts at
-    0, where g = c0 - p v < 0 since searching is feasible. Two crossings between
-    neighbouring ladder points are not seen.
+    Each crossing lies in a piece between q*, where g = -q* p (p v) < 0, g's turning
+    points and the edge; when q* is tiny and g(q*) rounds positive, the first piece starts
+    at 0, where g = c0 - p v < 0. For the reciprocal family (1 - j) g is a quadratic in j,
+    negative at 0 and positive at 1, so g crosses zero once. For the logarithmic family
+    g'(j) = k(1 - p)/(1 - j) + p k log(1 - j) - p(c0 - k) is convex in -log(1 - j), least
+    at j = (2p - 1)/p, so g turns at most twice. A piece with g <= 0 at its start and
+    g > 0 at its end holds one crossing: bisected to adjacent doubles with _marginal_excess,
+    then settled on g's own sign change (_excess_is_positive): the largest double at or below it.
     """
     q = myopic_boundary(params)
     if q is None:
         return ()
     g = _marginal_excess(params)
-    hi = 1.0 - BISECT_EDGE
-    gap = 1.0 - q
-    ladder = np.append(1.0 - gap * np.logspace(0.0, np.log10(BISECT_EDGE / gap), 200), hi)
-    ladder[0] = q if g(q) <= 0.0 else 0.0
-    signs = g(ladder) > 0.0
-    signs[0] = False
+    cost, p = params.cost, params.p
+    lo, hi = q if g(q) <= 0.0 else 0.0, 1.0 - BISECT_EDGE
+    ends = [lo, hi]
+    if cost.family is CostFamily.LOGARITHMIC:
+
+        def slope(j):
+            return cost.k * (1.0 - p) / (1.0 - j) + p * cost.k * math.log1p(-j) - p * (cost.c0 - cost.k)
+
+        mid = min(max(2.0 - 1.0 / p, lo), hi)
+        pieces = ((lambda j: -slope(j), lo, mid), (slope, mid, hi))
+        ends[1:1] = [_bisect_increasing(f, a, b) for f, a, b in pieces if f(a) < 0.0 < f(b)]
+    positive = [g(j) > 0.0 for j in ends]
     roots = tuple(
-        _settle(lambda j: _excess_is_positive(params, j), _bisect_increasing(g, float(ladder[i]), float(ladder[i + 1])))
-        for i in np.flatnonzero(~signs[:-1] & signs[1:])
+        _settle(lambda j: _excess_is_positive(params, j), _bisect_increasing(g, a, b))
+        for a, b, before, after in zip(ends, ends[1:], positive, positive[1:])
+        if after and not before
     )
-    return roots if signs[-1] else roots + (hi,)
+    return roots if positive[-1] else roots + (hi,)
 
 
 def search_upper_bound(params: ModelParams) -> Optional[float]:
     """Largest frontier any optimal plan can reach: the last root of c(j)(1 - jp) = p v.
 
     Beyond this point even a myopically-adjusted marginal project loses money
-    in every continuation, so the solver never needs states above it. The
-    left side is convex for the reciprocal family, making the root unique;
-    for the logarithmic family at large p it can cross p v more than once,
-    and we return the last crossing so the state grid covers every frontier
-    that could be profitable. If no crossing occurs below 1 - BISECT_EDGE the
-    edge itself is returned.
+    in every continuation, so no optimal path goes above it. For the reciprocal
+    family the root is unique: (1 - j)(c(j)(1 - jp) - p v) is a quadratic in j,
+    negative at 0 and positive at 1. For the logarithmic family at large p the
+    left side can cross p v more than once, and the last crossing is returned.
+    If no crossing occurs below 1 - BISECT_EDGE the edge itself is returned.
 
     It is _limit_candidates' last: the largest double at or below the exact root, or the edge.
 

@@ -371,6 +371,17 @@ def test_solve_path_reaching_the_cap(tmp_path, family, v):
     assert states[-1] <= j_star
 
 
+@pytest.mark.parametrize("delta", ["0.5", "0.9"])
+def test_solve_near_tangent_instance(tmp_path, delta):
+    # c(j)(1 - 0.9 j) = -log(1 - j)(1 - 0.9 j) peaks at 0.4512265 near j = 0.776, and p v = 0.451215
+    # sits just below it: g crosses zero at 0.7726, falls back below zero and crosses again at 0.9746
+    out = str(tmp_path / "run")
+    argv = ["solve", "--p", "0.9", "--v", "0.50135", "--c0", "0", "--k", "1", "--cost-family", "logarithmic"]
+    assert main(argv + ["--delta", delta, "--horizon", "20", "--out", out]) == EXIT_OK
+    summary = read_json(out, "summary")
+    assert summary["limit_frontier"] < 0.78 < summary["j_star"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -380,8 +391,14 @@ def test_solve_path_reaching_the_cap(tmp_path, family, v):
         ["solve", "--delta", "1e-300"],
         ["solve", "--p", "1e-160", "--v", "1e160"],
         ["solve", "--p", "1e-300", "--v", "1e300"],
+        ["solve", "--p", "1e-320", "--v", "1e300"],
+        ["solve", "--delta", "1e-310"],
+        ["solve", "--delta", "5e-324"],
     ],
-    ids=["scale-1e296", "scale-2e296", "scale-1e298", "delta-1e-300", "p-1e-160", "p-1e-300"],
+    ids=[
+        "scale-1e296", "scale-2e296", "scale-1e298", "delta-1e-300", "p-1e-160", "p-1e-300", "p-1e-320",
+        "delta-1e-310", "delta-5e-324",
+    ],
 )
 def test_extreme_instances_solve_or_fail_precisely(tmp_path, time_limit, argv):
     # each solves or fails with a listed code, never with a traceback or a hang

@@ -18,7 +18,7 @@ from innosearch import (
     posterior_feasible,
     search_upper_bound,
 )
-from innosearch.model import BISECT_EDGE, OutOfRangeError
+from innosearch.model import BISECT_EDGE, OutOfRangeError, _limit_candidates
 from innosearch.solver import _rhs_terms
 
 REC = CostModel.reciprocal(0.0, 1.0)
@@ -381,3 +381,72 @@ def test_roots_are_exact(family, p, v, share, k):
     assert q < cap
     assert exact_excess(params, cap) <= 0
     assert cap == 1.0 - BISECT_EDGE or exact_excess(params, math.nextafter(cap, 1.0)) > 0
+
+
+def exact_turning_points(params):
+    """The points in (0, 1 - BISECT_EDGE) where g stops rising or falling, to about 1e-30.
+
+    For the reciprocal family, the vertex of the quadratic (1 - j) g, whose sign is g's.
+    For the logarithmic family, the sign changes of g'(j), which is
+    k(1 - p)/(1 - j) + p k log(1 - j) - p(c0 - k), bisected in 60-digit decimals on
+    either side of its minimum at (2p - 1)/p.
+    """
+    cost = params.cost
+    if cost.family.value == "reciprocal":
+        p, c0, k, pv = (Fraction(z) for z in (params.p, cost.c0, cost.k, params.p * params.v))
+        # (1 - j) g = (c0 - pv) + (k - c0 - c0 p + pv) j - p (k - c0) j^2, linear when k = c0
+        if k == c0:
+            return []
+        vertex = (k - c0 - c0 * p + pv) / (2 * p * (k - c0))
+        return [vertex] if 0 < vertex < Fraction(1.0 - BISECT_EDGE) else []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, c0, k = (Decimal(z) for z in (params.p, cost.c0, cost.k))
+        slope = lambda j: k * (1 - p) / (1 - j) + p * k * (1 - j).ln() - p * (c0 - k)
+        edge = Decimal(1.0 - BISECT_EDGE)
+        least = min(max((2 * p - 1) / p, Decimal(0)), edge)
+        points = []
+        for lo, hi in ((Decimal(0), least), (least, edge)):
+            if (slope(lo) > 0) == (slope(hi) > 0):
+                continue
+            for _ in range(100):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if (slope(mid) > 0) == (slope(lo) > 0) else (lo, mid)
+            points.append(lo)
+        return points
+
+
+@st.composite
+def crossing_instances(draw):
+    """Plain draws of either family, or logarithmic ones near tangency: p v = (1 - eps)
+    c(t1)(1 - t1 p), t1 the local maximum of c(j)(1 - jp), so that g crosses zero twice
+    within about sqrt(eps) of t1."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["reciprocal", "logarithmic"]))
+        p, v, share, k = (draw(st.floats(*box)) for box in ((0.01, 0.99), (0.01, 100.0), (0.0, 1.0), (0.01, 100.0)))
+        return params_with(CostModel(family, share * p * v, k), p=p, v=v)
+    p, c0, k = draw(st.floats(0.9, 0.99)), draw(st.floats(0.0, 0.3)), draw(st.floats(0.5, 2.0))
+    eps = 10.0 ** -draw(st.floats(4.0, 10.0))
+    # g' = k(1 - p)/(1 - j) + p k log(1 - j) - p(c0 - k) falls from k - p c0 > 0 at 0 to below 0 at (2p - 1)/p
+    lo, hi = 0.0, 2.0 - 1.0 / p
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if k * (1.0 - p) / (1.0 - mid) + p * k * math.log1p(-mid) - p * (c0 - k) > 0.0 else (lo, mid)
+    cost = CostModel.logarithmic(c0, k)
+    return params_with(cost, p=p, v=(1.0 - eps) * cost_density(cost, lo) * (1.0 - lo * p) / p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(crossing_instances())
+def test_limit_candidates_are_every_crossing(params):
+    # g < 0 on [0, q*], and g changes sign at most once between neighbours among 0, the
+    # turning points and the edge, so its upward sign changes there are all its upward crossings
+    assume(feasible_to_search(params) and params.p * params.v <= cost_density(params.cost, 1.0 - BISECT_EDGE))
+    edge = 1.0 - BISECT_EDGE
+    positive = [exact_excess(params, j) > 0 for j in [0.0, *exact_turning_points(params), edge]]
+    crossings = sum(after and not before for before, after in zip(positive, positive[1:]))
+    candidates = _limit_candidates(params)
+    assert len(candidates) == crossings + (not positive[-1])
+    assert list(candidates) == sorted(set(candidates))
+    for c in candidates:
+        assert c == edge or exact_excess(params, c) <= 0 < exact_excess(params, math.nextafter(c, 1.0))
