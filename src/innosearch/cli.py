@@ -23,10 +23,11 @@ its optimal path by reverse shooting on the first-order condition (foc), or
 None for the no-search verdict p v <= c(0), and _headline the numbers
 summary.json and a sweep row share. The verdict is a success (exit 0).
 solve's value table and chart come from the path's orbits (foc.value_table);
-only oracle's backward induction uses a grid.
+only oracle's backward induction uses a grid. solve and sweep work in
+floats and never import numpy; oracle and simulate load it when they start.
 
 FAILURES is the one exit-code policy, first matching row wins: 2 configuration
-or validation error, 3 solver did not converge, 4 enumeration budget
+or validation error, or a horizon too long for memory, 3 solver did not converge, 4 enumeration budget
 exceeded, 5 a valid instance outside the solver's range. main applies it to
 what a handler raises and lets an unlisted exception propagate. A sweep
 point takes its code from it, 2 if unlisted; a sweep exits 0 unless every
@@ -41,15 +42,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import __version__
 from .config import SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSpec, load_run_config
 from .foc import ShootingSolution, optimal_path, value_table
 from .model import (
+    BudgetExceededError,
+    ConvergenceError,
     ModelParams,
     OutOfRangeError,
     cost_integral,
@@ -57,20 +59,37 @@ from .model import (
     myopic_boundary,
     posterior_feasible,
 )
-from .oracle import (
-    BudgetExceededError,
-    DiscreteInstance,
-    best_assignment_report,
-    compare_with_continuous,
-    structure_check,
-)
 from .output import line_chart, write_json, write_svg, write_table
-from .simulate import SimConfig, active_probability_analytic, simulate_batch
-from .solver import ConvergenceError, backward_induction
-# unused here; perfbench/spans.py traces them under these names
-from .solver import euler_residual, frontier_sequence, value_iteration  # noqa: F401
-# unused here; perfbench/workloads.py swaps it in traced runs
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
+
+# module -> names bound here on first use, so that solve and sweep never import numpy.
+# cmd_oracle and cmd_simulate bind theirs as they start, keeping a name already set here,
+# as perfbench/spans.py and tests set some.
+_LAZY = {
+    ".oracle": ("DiscreteInstance", "best_assignment_report", "compare_with_continuous", "structure_check"),
+    ".simulate": ("SimConfig", "active_probability_analytic", "simulate_batch"),
+    # all but backward_induction unused here; perfbench/spans.py traces them under these names
+    ".solver": ("backward_induction", "euler_residual", "frontier_sequence", "value_iteration"),
+    # unused here; perfbench/workloads.py swaps it in traced runs
+    "concurrent.futures": ("ProcessPoolExecutor",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the _LAZY names of each module here, keeping any name already set."""
+    bound = globals()
+    for module in modules:
+        for name in _LAZY[module]:
+            if name not in bound:
+                bound[name] = getattr(importlib.import_module(module, __package__), name)
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,7 +108,7 @@ FAILURES = (
     (BudgetExceededError, EXIT_BUDGET, "budget exceeded"),
     (ConvergenceError, EXIT_CONVERGENCE, "solver failed"),
     (OutOfRangeError, EXIT_OUT_OF_RANGE, "out of range"),
-    ((ValueError, OSError), EXIT_CONFIG, "error"),
+    ((ValueError, OSError, MemoryError), EXIT_CONFIG, "error"),
 )
 
 # the instance settings, echoed in every summary
@@ -143,17 +162,15 @@ def _emit(
 ) -> int:
     """Write a command's outputs under rc.out as --format asks, print its summary line; EXIT_OK.
 
-    tables: name -> {column: values}, written as name.csv and name.json when
-    csv or json is asked for; numpy columns become Python scalars through
-    tolist. docs: name -> JSON document, always written, with the instance
-    settings added. charts: name -> line_chart arguments, drawn as name.svg
-    when svg is asked for.
+    tables: name -> {column: values}, each column a sequence of Python scalars,
+    written as name.csv and name.json when csv or json is asked for. docs:
+    name -> JSON document, always written, with the instance settings added.
+    charts: name -> line_chart arguments, drawn as name.svg when svg is asked for.
     """
     fmts = rc.formats()
     if fmts & {"csv", "json"}:
         for name, table in tables.items():
-            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-            write_table(rc.out, name, list(table), list(zip(*columns)))
+            write_table(rc.out, name, list(table), list(zip(*table.values())))
     for name, doc in docs.items():
         write_json(rc.out, name, {**{f: getattr(rc, f) for f in INSTANCE_FIELDS}, **doc})
     if "svg" in fmts:
@@ -175,7 +192,7 @@ def _headline(params: ModelParams, shot: ShootingSolution) -> Dict[str, object]:
     """The numbers a solved run reports in summary.json and in its sweep row."""
     return {
         "value_at_zero": shot.value,
-        "first_boundary": float(shot.path[1]),
+        "first_boundary": shot.path[1],
         "q_star": myopic_boundary(params),
         "j_star": shot.cap,
     }
@@ -203,10 +220,10 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
     frontier = {
         "t": range(1, rc.horizon + 1),
         "frontier": b[1:],
-        "increment": np.diff(b),
+        "increment": [y - x for x, y in zip(b, b[1:])],
         # belief that a feasible project exists, entering each period
-        "posterior": posterior_feasible(params, b[:-1]),
-        "period_cost": cost_integral(params.cost, b[:-1], b[1:]),
+        "posterior": [posterior_feasible(params, x) for x in b[:-1]],
+        "period_cost": [cost_integral(params.cost, x, y) for x, y in zip(b, b[1:])],
     }
     summary = {
         "searched": True,
@@ -216,16 +233,15 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
         "never_find_probability": 1.0 - params.p * shot.limit,
         "horizon": rc.horizon,
     }
-    states = l.tolist()
     charts = {
         "frontier": (
             "Optimal search frontier", "period", "frontier l",
-            [("frontier path", list(range(len(b))), b.tolist())],
+            [("frontier path", range(len(b)), b)],
             [(summary["j_star"], "search cap j*"), (summary["q_star"], "one-shot boundary q*")],
         ),
         "value": (
             "Value and policy", "frontier l", "value / next frontier",
-            [("value W(l)", states, w.tolist()), ("policy l'(l)", states, policy.tolist())],
+            [("value W(l)", l, w), ("policy l'(l)", l, policy)],
         ),
     }
     return _emit(
@@ -238,24 +254,25 @@ def cmd_solve(rc: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
+    _load(".simulate")
     solved = _solve(rc)
     if solved is None:
         return _no_search_summary(rc)
     params, shot = solved
     path = shot.path
     stats = simulate_batch(SimConfig(params, path, rc.runs, rc.seed))
-    periods = np.arange(1, rc.horizon + 1)
-    analytic_active = active_probability_analytic(params, path, periods)
+    periods = range(1, rc.horizon + 1)
+    analytic_active = active_probability_analytic(params, path, periods).tolist()
     w0 = shot.value
     diff = stats.mean_discounted_payoff - w0
     z_score = diff / stats.payoff_standard_error if stats.payoff_standard_error else 0.0
     simulation = {
         "t": periods,
-        "active_fraction": stats.active_fraction,
+        "active_fraction": stats.active_fraction.tolist(),
         "active_analytic": analytic_active,
-        "halfwidth_3sigma": stats.confidence_halfwidths,
-        "success_fraction": stats.success_fraction,
-        "success_analytic": params.p * path[1:],
+        "halfwidth_3sigma": stats.confidence_halfwidths.tolist(),
+        "success_fraction": stats.success_fraction.tolist(),
+        "success_analytic": [params.p * x for x in path[1:]],
     }
     summary = {
         "searched": True,
@@ -273,8 +290,8 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
     chart = (
         "Share of runs still searching", "period", "active fraction",
         [
-            ("observed", periods.tolist(), stats.active_fraction.tolist()),
-            ("analytic 1 - p l", periods.tolist(), analytic_active.tolist()),
+            ("observed", periods, simulation["active_fraction"]),
+            ("analytic 1 - p l", periods, analytic_active),
         ],
         [(1.0 - rc.p, "no-feasible-project floor 1 - p")],
     )
@@ -289,6 +306,7 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
+    _load(".oracle", ".solver")
     params = rc.model_params()
     instance = DiscreteInstance.from_params(params, rc.slots, rc.horizon)
     report = best_assignment_report(instance, budget=rc.budget)
@@ -312,7 +330,7 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     gap = f", gap {comparison['value_gap']:.3e}" if comparison else ""
     return _emit(
         rc,
-        tables={"assignment": {"slot": range(len(schedule)), "period": schedule, "slot_cost": instance.slot_costs}},
+        tables={"assignment": {"slot": range(len(schedule)), "period": schedule, "slot_cost": instance.slot_costs.tolist()}},
         docs={"oracle": oracle},
         charts={},
         message=f"enumerated {report.evaluations} assignments: best value {report.value:.12g}, "
@@ -331,7 +349,7 @@ def _sweep_point(rc: RunConfig) -> Tuple[Dict[str, object], int]:
         if solved is None:
             row.update(status="no-search", value_at_zero=0.0)
         else:
-            row.update(status="ok", l_inf=float(solved[1].path[-1]), **_headline(*solved))
+            row.update(status="ok", l_inf=solved[1].path[-1], **_headline(*solved))
     except Exception as e:  # noqa: BLE001 - a point reports, cmd_sweep decides the exit code
         row.update(status="error", error=f"{type(e).__name__}: {e}")
         return row, _failure(e)[0]

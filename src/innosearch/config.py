@@ -19,12 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from .model import CostModel, ModelParams
-from .oracle import DEFAULT_BUDGET
-from .simulate import MAX_RUNS
-from .solver import SolverConfig
+from .model import DEFAULT_BUDGET, MAX_RUNS, CostModel, ModelParams, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -206,7 +201,18 @@ class SweepSpec:
         n = _number("int", "count", count)
         if n < 1:
             raise ConfigError(f"--count must be >= 1, got {n}")
-        return cls(parameter, [first] if n == 1 else list(np.linspace(first, last, n)))
+        if n == 1:
+            return cls(parameter, [first])
+        # numpy.linspace's values, to the bit unless the step underflows to 0; the list is
+        # allocated at once, so that a huge count fails at once
+        step = (last - first) / (n - 1)
+        try:
+            points = [last] * n
+        except (MemoryError, OverflowError):  # OverflowError: more elements than a list can index
+            raise ConfigError(f"--count {n}: that many sweep values do not fit in memory") from None
+        for i in range(n - 1):
+            points[i] = first + i * step
+        return cls(parameter, points)
 
     def apply(self, base: RunConfig, value: float) -> RunConfig:
         """base with the swept parameter set to value, validated."""

@@ -53,10 +53,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-import numpy as np
-
 from .model import (
     BISECT_EDGE,
+    ConvergenceError,
     CostFamily,
     ModelParams,
     OutOfRangeError,
@@ -66,7 +65,6 @@ from .model import (
     cost_density,
     feasible_to_search,
 )
-from .solver import ConvergenceError
 
 # Backward steps one orbit may take before shooting gives up.
 MAX_STEPS = 100_000
@@ -82,7 +80,8 @@ TABLE_ROWS = 2048
 class ShootingSolution:
     """The optimal path from l = 0: W(0), l_0 .. l_horizon, its limit and tail rate.
 
-    cap is search_upper_bound's j*, at or above the limit (above it on a multi-root instance).
+    path holds the floats l_0 = 0, l_1 .. l_horizon. cap is search_upper_bound's j*,
+    at or above the limit (above it on a multi-root instance).
     tail_rate is the ratio lambda of successive gaps to the limit far along
     the path; 0 when the path reaches its limit, the solver's edge, in
     finitely many periods. orbit holds the shot orbit's gaps limit - l_t,
@@ -90,7 +89,7 @@ class ShootingSolution:
     """
 
     value: float
-    path: np.ndarray
+    path: Tuple[float, ...]
     limit: float
     cap: float
     tail_rate: float
@@ -164,7 +163,7 @@ def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Calla
     density, drop, interval = _gap_kernels(params, a)
     pa = 1.0 - p * a
     # G = -g(a): 0 at a crossing, positive at the edge
-    lam, excess = (0.0, -float(_marginal_excess(params)(a))) if edge else (_tail_rate(params, a), 0.0)
+    lam, excess = (0.0, -_marginal_excess(params)(a)) if edge else (_tail_rate(params, a), 0.0)
 
     def back(e, e_next):
         c = density(e)
@@ -266,8 +265,9 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     and keeps the path with the largest W(0).
     Raises ValueError when searching is not worthwhile (p v <= c(0)) or the
     horizon is below 1, OutOfRangeError when q* lies beyond the solver's
-    edge or p c(a) underflows to 0 at a limit a, and ConvergenceError when an
-    orbit needs more than MAX_STEPS periods or the shooting more than MAX_SHOTS orbits.
+    edge or p c(a) underflows to 0 at a limit a, ConvergenceError when an
+    orbit needs more than MAX_STEPS periods or the shooting more than MAX_SHOTS
+    orbits, and MemoryError when the path's horizon + 1 floats do not fit in memory.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -285,18 +285,20 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     if best is None:
         raise ConvergenceError("every orbit turns back before l = 0: no increasing path was found")
     value, gaps, lam, a = best
-    e = np.zeros(horizon + 1)
+    # allocated at once, so that a horizon too long to hold fails at once
+    try:
+        path = [0.0] * (horizon + 1)
+    except (MemoryError, OverflowError):  # OverflowError: more elements than a list can index
+        raise MemoryError(f"a path of {horizon} periods does not fit in memory") from None
     n = min(len(gaps) - 1, horizon)
-    e[: n + 1] = gaps[: n + 1]
-    if horizon > n:
-        e[n + 1 :] = gaps[n] * lam ** np.arange(1, horizon - n + 1)
-    boundaries = a - e
-    boundaries[0] = 0.0
-    return ShootingSolution(value, boundaries, a, candidates[-1], lam, tuple(gaps))
+    for t in range(1, horizon + 1):
+        path[t] = a - (gaps[t] if t <= n else gaps[n] * lam ** (t - n))
+    return ShootingSolution(value, tuple(path), a, candidates[-1], lam, tuple(gaps))
 
 
-def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(l, W(l), policy(l)) on [0, r], the states the optimal plan visits from 0, sorted by l.
+def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[Tuple[float, ...], ...]:
+    """(l, W(l), policy(l)) on [0, r], the states the optimal plan visits from 0, sorted by l:
+    three tuples of floats.
 
     Orbits start over one fundamental domain of the path's tail, the shot
     orbit first, and step back until l <= 0; each orbit point (l_{t-1}, l_t)
@@ -312,16 +314,15 @@ def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray
     pa = 1.0 - p * a
     x = shot.orbit[-2]
     n = -(-TABLE_ROWS // (len(shot.orbit) - 1))
-    s = np.arange(n) / n
     if lam > 0.0:
-        starts = x * lam**s
+        starts = [x * lam ** (i / n) for i in range(n)]
     else:
         # at the edge the domain is (0, e_max], e_max the step back from the edge itself
         e_max = back(0.0, 0.0)
-        starts = x - s * e_max
-        starts[starts <= 0.0] += e_max
+        starts = [x - i / n * e_max for i in range(n)]
+        starts = [e if e > 0.0 else e + e_max for e in starts]
     rows = []
-    for i, start in enumerate(starts.tolist()):
+    for i, start in enumerate(starts):
         # the shot orbit keeps its l_0 = 0, any other drops its step past l = 0 or, turning back, gives no rows
         try:
             es = list(shot.orbit[::-1]) if i == 0 else _orbit(back, lam, a, start)[:-1]
@@ -333,8 +334,7 @@ def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[np.ndarray
             u = term(e, e_next) + delta * u
             rows.append((a - e, u / (pa + p * e), a - e_next))
     rows.append((a, 0.0, a))
-    table = np.array(rows)
-    table = table[np.argsort(table[:, 0], kind="stable")]
+    rows.sort(key=lambda row: row[0])
+    l, w, policy = zip(*rows)
     # W(0) as the path sums it, forward, to the last digit
-    table[0, 1] = shot.value
-    return table[:, 0], table[:, 1], table[:, 2]
+    return l, (shot.value,) + w[1:], policy

@@ -29,21 +29,54 @@ import decimal
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-ArrayLike = Union[float, np.ndarray]
+# A float, or a numpy array: numpy is imported only where an array arrives (_lib,
+# _operands), so that code working in floats never loads it.
+ArrayLike = Union[float, "numpy.ndarray"]
 
 # The solver's range ends this far short of j = 1: no boundary above
 # 1 - BISECT_EDGE is represented.
 BISECT_EDGE = 1e-12
 # Decimal digits in which the sign of g(j) = c(j)(1 - jp) - p v is decided at a root.
 EXACT_DIGITS = 40
+# The oracle's default assignment budget.
+DEFAULT_BUDGET = 10_000_000
+# Largest run count: numpy's multinomial takes an int64 run count.
+MAX_RUNS = 2**63 - 1
 
 
 class OutOfRangeError(ValueError):
     """A valid instance whose solution lies outside the range the solver can represent."""
+
+
+class ConvergenceError(RuntimeError):
+    """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm
+    changes) or the reverse shooting's orbit periods or orbits (history is empty)."""
+
+    def __init__(self, message: str, history: Sequence[float] = ()):
+        super().__init__(message)
+        self.history = list(history)
+
+
+class BudgetExceededError(RuntimeError):
+    """Enumeration would exceed the configured assignment budget."""
+
+    def __init__(self, total: int, budget: int):
+        super().__init__(
+            f"enumeration needs {total} assignment evaluations, budget is {budget}"
+        )
+        self.total = total
+        self.budget = budget
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    grid_size: int = 2048
+
+    def __post_init__(self):
+        if self.grid_size < 64:
+            raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
 
 
 class CostFamily(str, Enum):
@@ -93,24 +126,43 @@ class ModelParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
-def _scalar_input(*xs) -> bool:
-    return all(np.ndim(x) == 0 for x in xs)
+def _lib(x):
+    """math for a Python float, else numpy, imported here: a float never loads it."""
+    if isinstance(x, float):
+        return math
+    import numpy
+
+    return numpy
 
 
-def _ret(scalar: bool, out: np.ndarray) -> ArrayLike:
+def _operands(*xs):
+    """(scalar, xs): Python floats when every x is a Python number, else float arrays,
+    with scalar telling whether all of them are 0-d."""
+    if all(isinstance(x, (int, float)) for x in xs):
+        return True, [float(x) for x in xs]
+    import numpy as np
+
+    return all(np.ndim(x) == 0 for x in xs), [np.asarray(x, dtype=float) for x in xs]
+
+
+def _any(mask) -> bool:
+    """Whether a comparison holds: of floats, or of arrays anywhere."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def _ret(scalar: bool, out: ArrayLike) -> ArrayLike:
     return float(out) if scalar else out
 
 
 def cost_density(cost: CostModel, j: ArrayLike) -> ArrayLike:
     """Marginal cost c(j). Accepts scalars or arrays with j in [0, 1)."""
-    scalar = _scalar_input(j)
-    j = np.asarray(j, dtype=float)
-    if np.any(j < 0.0) or np.any(j >= 1.0):
+    scalar, (j,) = _operands(j)
+    if _any(j < 0.0) or _any(j >= 1.0):
         raise ValueError("project index outside [0, 1)")
     if cost.family is CostFamily.RECIPROCAL:
         out = cost.c0 + cost.k * j / (1.0 - j)
     else:
-        out = cost.c0 - cost.k * np.log1p(-j)
+        out = cost.c0 - cost.k * _lib(j).log1p(-j)
     return _ret(scalar, out)
 
 
@@ -119,25 +171,22 @@ def cost_integral(cost: CostModel, a: ArrayLike, b: ArrayLike) -> ArrayLike:
 
     Requires 0 <= a <= b < 1 elementwise. Zero-width intervals cost exactly 0.
     """
-    scalar = _scalar_input(a, b)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a < 0.0) or np.any(b < a) or np.any(b >= 1.0):
+    scalar, (a, b) = _operands(a, b)
+    if _any(a < 0.0) or _any(b < a) or _any(b >= 1.0):
         raise ValueError("interval endpoints must satisfy 0 <= a <= b < 1")
     return _ret(scalar, _cost_integral_kernel(cost, a, b, _antiderivative_term(cost, a)))
 
 
-def _antiderivative_term(cost: CostModel, x: np.ndarray) -> np.ndarray:
+def _antiderivative_term(cost: CostModel, x: ArrayLike) -> ArrayLike:
     """The log term of the interval cost's antiderivative at x.
 
     log1p(-x) for the reciprocal family, (1 - x) log1p(-x) for the logarithmic one.
     """
-    if cost.family is CostFamily.RECIPROCAL:
-        return np.log1p(-x)
-    return (1.0 - x) * np.log1p(-x)
+    log = _lib(x).log1p(-x)
+    return log if cost.family is CostFamily.RECIPROCAL else (1.0 - x) * log
 
 
-def _density_slope(cost: CostModel, x: np.ndarray) -> np.ndarray:
+def _density_slope(cost: CostModel, x: ArrayLike) -> ArrayLike:
     """The derivative c'(x) of the marginal cost, unchecked: callers guarantee 0 <= x < 1.
 
     k / (1 - x)^2 for the reciprocal family, k / (1 - x) for the logarithmic one.
@@ -147,7 +196,7 @@ def _density_slope(cost: CostModel, x: np.ndarray) -> np.ndarray:
     return cost.k / (1.0 - x)
 
 
-def _cost_integral_kernel(cost: CostModel, a: np.ndarray, b: np.ndarray, term_a: np.ndarray) -> np.ndarray:
+def _cost_integral_kernel(cost: CostModel, a: ArrayLike, b: ArrayLike, term_a: ArrayLike) -> ArrayLike:
     """cost_integral without its domain check, given term_a = _antiderivative_term(cost, a).
 
     Callers guarantee 0 <= a <= b < 1; a caller with fixed left ends computes
@@ -161,14 +210,15 @@ def _cost_integral_kernel(cost: CostModel, a: np.ndarray, b: np.ndarray, term_a:
     else:
         # integral of -log(1-j) on [a, b) is (1-b)log(1-b) - (1-a)log(1-a) + (b - a)
         out = cost.c0 * d + cost.k * (term_b - term_a + d)
-    return np.where(d == 0.0, 0.0, out)
+    if isinstance(d, float):
+        return 0.0 if d == 0.0 else out
+    return _lib(d).where(d == 0.0, 0.0, out)
 
 
 def posterior_feasible(params: ModelParams, l: ArrayLike) -> ArrayLike:
     """Probability a feasible project remains after [0, l) failed: (1-l)p / (1-lp)."""
-    scalar = _scalar_input(l)
-    l = np.asarray(l, dtype=float)
-    if np.any(l < 0.0) or np.any(l >= 1.0):
+    scalar, (l,) = _operands(l)
+    if _any(l < 0.0) or _any(l >= 1.0):
         raise ValueError("frontier outside [0, 1)")
     return _ret(scalar, (1.0 - l) * params.p / (1.0 - l * params.p))
 
@@ -210,8 +260,7 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
     pv = params.p * params.v
     if pv <= params.cost.c0:
         return None
-    with np.errstate(over="ignore"):
-        edge_cost = cost_density(params.cost, 1.0 - BISECT_EDGE)
+    edge_cost = cost_density(params.cost, 1.0 - BISECT_EDGE)
     if edge_cost == math.inf:
         raise OutOfRangeError(f"c(1 - {BISECT_EDGE:g}), the marginal cost at the edge of the solver's range, overflows")
     if pv > edge_cost:
@@ -226,7 +275,7 @@ def myopic_boundary(params: ModelParams) -> Optional[float]:
     return -math.expm1(-x)
 
 
-def _marginal_excess(params: ModelParams) -> Callable[[ArrayLike], np.ndarray]:
+def _marginal_excess(params: ModelParams) -> Callable[[ArrayLike], ArrayLike]:
     """g(j) = c(j)(1 - jp) - p v, written as k phi(j) - x - j p c(j) with x = p v - c0.
 
     x is taken once, so a c0 close to p v cancels exactly there and not in
@@ -237,8 +286,7 @@ def _marginal_excess(params: ModelParams) -> Callable[[ArrayLike], np.ndarray]:
     x = p * params.v - cost.c0
 
     def g(j):
-        j = np.asarray(j, dtype=float)
-        k_phi = cost.k * j / (1.0 - j) if cost.family is CostFamily.RECIPROCAL else -cost.k * np.log1p(-j)
+        k_phi = cost.k * j / (1.0 - j) if cost.family is CostFamily.RECIPROCAL else -cost.k * _lib(j).log1p(-j)
         return k_phi - x - j * p * (cost.c0 + k_phi)
 
     return g

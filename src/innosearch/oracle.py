@@ -30,23 +30,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import ModelParams, CostFamily, cost_integral
+from .model import DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, cost_integral
 from .solver import BackwardSolution
 
-DEFAULT_BUDGET = 10_000_000
 # assignments per enumeration block: two float64 buffers of this size stay in L2
 BLOCK_ELEMENTS = 1 << 16
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured assignment budget."""
-
-    def __init__(self, total: int, budget: int):
-        super().__init__(
-            f"enumeration needs {total} assignment evaluations, budget is {budget}"
-        )
-        self.total = total
-        self.budget = budget
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ArrayLike, ModelParams, cost_integral
-
-# Largest run count: numpy's multinomial takes an int64 run count.
-MAX_RUNS = 2**63 - 1
+from .model import MAX_RUNS, ArrayLike, ModelParams, cost_integral
 
 
 @dataclass
@@ -35,7 +32,7 @@ class SimConfig:
     """Runs searching along path = l_0, l_1, .., l_H, one period per boundary after l_0."""
 
     params: ModelParams
-    path: np.ndarray
+    path: Sequence[float]
     runs: int
     seed: int
 
@@ -136,11 +133,11 @@ def simulate_batch(config: SimConfig) -> AggregateStats:
     )
 
 
-def active_probability_analytic(params: ModelParams, path: np.ndarray, t: ArrayLike) -> ArrayLike:
+def active_probability_analytic(params: ModelParams, path: Sequence[float], t: ArrayLike) -> ArrayLike:
     """Exact probability a run is still active entering period t: 1 - p l_{t-1}."""
     scalar = np.ndim(t) == 0
     t = np.asarray(t, dtype=int)
     if np.any(t < 1) or np.any(t > len(path)):
         raise ValueError("period must satisfy 1 <= t <= len(path)")
-    out = 1.0 - params.p * path[t - 1]
+    out = 1.0 - params.p * np.asarray(path)[t - 1]
     return float(out) if scalar else out

@@ -66,7 +66,9 @@ import numpy as np
 
 from .model import (
     ArrayLike,
+    ConvergenceError,
     ModelParams,
+    SolverConfig,
     _antiderivative_term,
     _cost_integral_kernel,
     _density_slope,
@@ -89,24 +91,6 @@ EVAL_STEPS = 20
 TOL = 1e-9
 # Greedy sweeps value iteration runs before it gives up with ConvergenceError.
 MAX_SWEEPS = 100_000
-
-
-class ConvergenceError(RuntimeError):
-    """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm
-    changes) or the reverse shooting's orbit periods or orbits (history is empty)."""
-
-    def __init__(self, message: str, history: Sequence[float] = ()):
-        super().__init__(message)
-        self.history = list(history)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    grid_size: int = 2048
-
-    def __post_init__(self):
-        if self.grid_size < 64:
-            raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
 
 
 @dataclass

@@ -78,7 +78,7 @@ def test_acceptance_1_search_never_stops(capsys):
         if gap_cells > 10.0:
             failures.append(f"instance {idx}: path stalled {gap_cells:.1f} cells under the cap")
         shot = optimal_path(params, 200)
-        r, b = shot.limit, shot.path
+        r, b = shot.limit, np.asarray(shot.path)
         shot_inc = np.diff(b)
         # the exact increment is about (1 - lambda)(r - l_t); where it spans two doubles the path must move
         strict = (1.0 - shot.tail_rate) * (r - b[:-1]) > 2.0 * math.ulp(r)

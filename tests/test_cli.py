@@ -1,12 +1,17 @@
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import xml.dom.minidom
 
 import pytest
 
+import innosearch
 from innosearch import cli, foc
 from innosearch.cli import (
     EXIT_BUDGET,
@@ -109,6 +114,10 @@ def test_config_file_and_flag_precedence(tmp_path):
         (["solve", "--cost-family", "cubic"], EXIT_CONFIG),
         (["sweep", "--param", "v", "--start", "1", "--stop", "2", "--count", "abc"], EXIT_CONFIG),
         (["sweep", "--param", "v", "--start", "x", "--stop", "2", "--count", "2"], EXIT_CONFIG),
+        # 1e18 values need 8 EB at once, which no machine can map, so the allocation fails at once;
+        # 1e19 is more than a list can index
+        (["sweep", "--param", "v", "--start", "1", "--stop", "2", "--count", "1e18"], EXIT_CONFIG),
+        (["sweep", "--param", "v", "--start", "1", "--stop", "2", "--count", "1e19"], EXIT_CONFIG),
     ],
 )
 def test_error_exit_codes(tmp_path, argv, code):
@@ -306,6 +315,69 @@ def test_sweep_runs_in_this_process(tmp_path, monkeypatch):
     cols = data["columns"]
     assert [r[cols.index("value")] for r in data["rows"]] == [0.95, 0.9, 0.99]
     assert all(r[cols.index("status")] == "ok" for r in data["rows"])
+
+
+# run in a fresh interpreter, since this test session imported numpy long ago
+NO_NUMPY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from innosearch import cli
+
+    assert "numpy" not in sys.modules, "import innosearch.cli"
+    out = sys.argv[1]
+    for i, argv in enumerate([
+        ["solve", "--format", "csv,json,svg"],
+        ["solve", "--cost-family", "logarithmic", "--c0", "0.1", "--format", "csv,json,svg"],
+        ["sweep", "--param", "delta", "--values", "0.5,0.9,0.99", "--format", "csv,json,svg"],
+        ["sweep", "--param", "v", "--start", "1", "--stop", "2", "--count", "7"],
+    ]):
+        assert cli.main(argv + ["--out", f"{out}/{i}"]) == 0, argv
+        assert "numpy" not in sys.modules, argv
+    # the commands that need numpy load it, in the same process
+    assert cli.main(["oracle", "--slots", "4", "--horizon", "2", "--out", out + "/oracle"]) == 0
+    assert cli.main(["simulate", "--runs", "1000", "--horizon", "20", "--out", out + "/simulate"]) == 0
+    assert "numpy" in sys.modules
+    """
+)
+
+
+def test_solve_and_sweep_never_import_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(innosearch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.isfile(tmp_path / "simulate" / "simulation.csv")
+
+
+@pytest.mark.parametrize("command, name", [("simulate", "simulate_batch"), ("oracle", "best_assignment_report")])
+def test_handler_calls_the_function_set_on_cli(tmp_path, monkeypatch, command, name):
+    # set on the module before the handler binds its lazily loaded names: the handler keeps it
+    real = getattr(importlib.import_module(f"innosearch.{command}"), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.delitem(vars(cli), name, raising=False)
+    monkeypatch.setitem(vars(cli), name, spy)
+    argv = [command, "--horizon", "2", "--slots", "4", "--runs", "100", "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_OK
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("horizon", ["1e18", "1e19"])
+def test_huge_horizon_fails_at_once(tmp_path, capsys, time_limit, horizon):
+    # 1e18 periods is a 7 EiB path that no machine can map, so its allocation fails at once;
+    # 1e19 is more than a list can index
+    time_limit(10)
+    out = str(tmp_path / "run")
+    assert main(["solve", "--horizon", horizon, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: a path of {int(float(horizon))} periods does not fit in memory\n"
+    assert main(["sweep", "--param", "v", "--values", "2", "--horizon", horizon, "--out", out]) == EXIT_CONFIG
+    assert read_csv(out, "sweep")[1][-1].startswith("MemoryError: a path of")
 
 
 @pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])

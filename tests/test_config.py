@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from innosearch.config import (
@@ -132,3 +133,13 @@ def test_sweep_scale_multiplies_value_units():
     assert variant.k == pytest.approx(15.0, abs=1e-14)
     assert variant.p == base.p
     assert variant.delta == base.delta
+
+
+def test_count_sweep_values_are_linspace_bitwise():
+    # the sweep builds its evenly spaced values without numpy; they are numpy.linspace's doubles
+    rng = np.random.default_rng(20261019)
+    for _ in range(5000):
+        first, last = (float(x) * 10.0 ** int(e) for x, e in zip(rng.uniform(-1.0, 1.0, 2), rng.integers(-6, 7, 2)))
+        n = int(rng.integers(1, 60))
+        spec = SweepSpec.from_flags("v", None, repr(first), repr(last), str(n))
+        assert [x.hex() for x in spec.values] == [float(x).hex() for x in np.linspace(first, last, n)]

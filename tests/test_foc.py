@@ -68,7 +68,7 @@ def test_multi_root_instance_converges_to_the_first_crossing():
     assert shot.value == pytest.approx(0.020188552785, abs=1e-11)
     assert shot.limit == pytest.approx(0.2275168, abs=1e-7)
     assert search_upper_bound(params) > 1.0 - 1e-8
-    assert np.all(shot.path <= shot.limit)
+    assert np.all(np.asarray(shot.path) <= shot.limit)
 
 
 @pytest.mark.parametrize("family, v", [("reciprocal", 1e11), ("logarithmic", 10.0)])
@@ -77,7 +77,7 @@ def test_path_reaching_the_edge(family, v):
     params = ModelParams(0.99, v, 0.9, CostModel(family, 0.0, 1.0))
     edge = 1.0 - BISECT_EDGE
     shot = optimal_path(params, 20)
-    b = shot.path
+    b = np.asarray(shot.path)
     assert shot.limit == edge == search_upper_bound(params)
     assert shot.tail_rate == 0.0
     reached = int(np.argmax(b == edge))
@@ -91,7 +91,7 @@ def test_tail_rate_matches_late_increment_ratios(cost):
     shot = optimal_path(ModelParams(0.5, 2.0, 0.9, cost), 200)
     lam, r = shot.tail_rate, shot.limit
     assert 0.0 < lam < 1.0
-    b = shot.path
+    b = np.asarray(shot.path)
     inc = np.diff(b)
     # periods of the shot orbit itself, before the linearized tail takes over
     gap = r - b[1:-1]
@@ -115,7 +115,7 @@ def test_value_table_rows(name):
     params = TABLE_INSTANCES[name]
     shot = optimal_path(params, 20)
     assert shot.cap == search_upper_bound(params)
-    l, w, policy = foc.value_table(params, shot)
+    l, w, policy = map(np.asarray, foc.value_table(params, shot))
     r = shot.limit
     # the path's own first row, then rows sorted by l over [0, r], ending at (r, 0, r)
     assert (l[0], w[0], policy[0]) == (0.0, shot.value, shot.path[1])
@@ -124,7 +124,7 @@ def test_value_table_rows(name):
     inside = l < r
     assert np.all(policy[inside] > l[inside])
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
-    again = foc.value_table(params, optimal_path(params, 20))
+    again = map(np.asarray, foc.value_table(params, optimal_path(params, 20)))
     assert all(a.tobytes() == b.tobytes() for a, b in zip((l, w, policy), again))
 
 
@@ -181,7 +181,7 @@ def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
     except OutOfRangeError:
         assume(False)
     r, lam = shot.limit, shot.tail_rate
-    b = shot.path
+    b = np.asarray(shot.path)
     assert math.isfinite(shot.value)
     assert r <= shot.cap == search_upper_bound(params)
     assert 0.0 <= lam < 1.0
@@ -191,7 +191,7 @@ def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
     strict = (1.0 - lam) * (r - b[:-1]) > 2.0 * math.ulp(r)
     assert np.all(inc[strict] > 0.0)
     # the value table from the same orbits: the path's first row, states up to r, every policy moving up
-    l, w, policy = foc.value_table(params, shot)
+    l, w, policy = map(np.asarray, foc.value_table(params, shot))
     assert (l[0], w[0], policy[0]) == (0.0, shot.value, b[1])
     assert np.all(np.diff(l) >= 0.0) and l[-1] == r and np.all(np.isfinite(w))
     assert np.all(policy[l < r] > l[l < r])

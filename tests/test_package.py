@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import innosearch
 
 PUBLIC_NAMES = [
@@ -24,6 +26,16 @@ def test_public_surface_is_pinned():
     assert len(set(innosearch.__all__)) == len(innosearch.__all__)
     for name in innosearch.__all__:
         assert hasattr(innosearch, name), name
+
+
+def test_names_resolve_on_first_use():
+    assert set(innosearch.__all__) <= set(dir(innosearch))
+    scope = {}
+    exec("from innosearch import *", scope)
+    assert sorted(set(scope) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+    assert all(scope[name] is getattr(innosearch, name) for name in PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        innosearch.no_such_name
 
 
 def test_readme_library_example_runs():
