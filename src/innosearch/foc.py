@@ -39,7 +39,8 @@ adjacent doubles. Every candidate limit is shot, and the path with the
 largest W(0) wins: on a multi-root instance the limit may be any of the
 crossings, the cap j* or one below it. A candidate whose orbit turns back
 before l = 0, caught by a downward crossing of g below it, has no increasing
-path and is passed over.
+path and is passed over, and so is one whose shooting runs out of steps while
+another candidate solves.
 
 Orbits over one fundamental domain, the shot orbit among them, pass through
 every state of [0, a] the plan visits from 0: each orbit point is a pair
@@ -60,6 +61,7 @@ from .model import (
     ModelParams,
     OutOfRangeError,
     _density_slope,
+    _interval_cost,
     _limit_candidates,
     _marginal_excess,
     cost_density,
@@ -100,11 +102,11 @@ class _Unreachable(Exception):
     """The orbit from a candidate limit turns back before l = 0: no increasing path converges there."""
 
 
-def _gap_kernels(params: ModelParams, a: float) -> Tuple[Callable, Callable, Callable]:
-    """(c(a - e), c(a) - c(a - e), C(a - e1, a - e2)) as functions of the gaps, in closed form.
+def _gap_kernels(params: ModelParams, a: float) -> Tuple[Callable, Callable]:
+    """(c(a - e), c(a) - c(a - e)) as functions of the gap e, in closed form.
 
-    C takes e1 >= e2 >= 0. With w = 1 - a, every form keeps the relative
-    precision of e and of e1 - e2.
+    With w = 1 - a, both keep the relative precision of e. The interval cost
+    C(a - e1, a - e2) is model._interval_cost at (e1 - e2, w + e1, w + e2).
     """
     c0, k = params.cost.c0, params.cost.k
     w = 1.0 - a
@@ -116,10 +118,6 @@ def _gap_kernels(params: ModelParams, a: float) -> Tuple[Callable, Callable, Cal
         def drop(e):
             return k * e / (w * (w + e))
 
-        def interval(e1, e2):
-            d = e1 - e2
-            return c0 * d + k * (math.log1p(d / (w + e2)) - d)
-
     else:
 
         def density(e):
@@ -128,11 +126,7 @@ def _gap_kernels(params: ModelParams, a: float) -> Tuple[Callable, Callable, Cal
         def drop(e):
             return k * math.log1p(e / w)
 
-        def interval(e1, e2):
-            d = e1 - e2
-            return c0 * d + k * (d * (1.0 - math.log(w + e1)) - (w + e2) * math.log1p(d / (w + e2)))
-
-    return density, drop, interval
+    return density, drop
 
 
 def _tail_rate(params: ModelParams, a: float) -> float:
@@ -160,17 +154,19 @@ def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Calla
     the period payoff term(e_{t-1}, e_t) = p (l_t - l_{t-1}) v - (1 - p l_{t-1}) C(l_{t-1}, l_t),
     and the tail rate."""
     p, v, delta = params.p, params.v, params.delta
-    density, drop, interval = _gap_kernels(params, a)
-    pa = 1.0 - p * a
+    density, drop = _gap_kernels(params, a)
+    interval = _interval_cost(params.cost)
+    w, pa = 1.0 - a, 1.0 - p * a
     # G = -g(a): 0 at a crossing, positive at the edge
     lam, excess = (0.0, -_marginal_excess(params)(a)) if edge else (_tail_rate(params, a), 0.0)
 
     def back(e, e_next):
         c = density(e)
-        return delta * e + (delta * p * interval(e, e_next) + (1.0 - delta) * (pa * drop(e) + excess)) / (p * c)
+        cost = interval(e - e_next, w + e, w + e_next)
+        return delta * e + (delta * p * cost + (1.0 - delta) * (pa * drop(e) + excess)) / (p * c)
 
     def term(e_prev, e_now):
-        return p * (e_prev - e_now) * v - (pa + p * e_prev) * interval(e_prev, e_now)
+        return p * (e_prev - e_now) * v - (pa + p * e_prev) * interval(e_prev - e_now, w + e_prev, w + e_now)
 
     return back, term, lam
 
@@ -262,28 +258,33 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     """The optimal frontier path from l = 0 for `horizon` periods and its value W(0).
 
     Shoots from every candidate limit (model._limit_candidates), the last of which is j*,
-    and keeps the path with the largest W(0).
+    and keeps the path with the largest W(0) among those that converge; a candidate
+    whose orbit turns back before l = 0 or runs out of steps is passed over.
     Raises ValueError when searching is not worthwhile (p v <= c(0)) or the
     horizon is below 1, OutOfRangeError when q* lies beyond the solver's
-    edge or p c(a) underflows to 0 at a limit a, ConvergenceError when an
-    orbit needs more than MAX_STEPS periods or the shooting more than MAX_SHOTS
-    orbits, and MemoryError when the path's horizon + 1 floats do not fit in memory.
+    edge or p c(a) underflows to 0 at a limit a, ConvergenceError when no
+    candidate converges (the first such error when an orbit needed more than
+    MAX_STEPS periods or the shooting more than MAX_SHOTS orbits), and
+    MemoryError when the path's horizon + 1 floats do not fit in memory.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not feasible_to_search(params):
         raise ValueError("searching is not worthwhile: p v <= c(0)")
     candidates = _limit_candidates(params)
-    best = None
+    best, failures = None, []
     for a in candidates:
         try:
             value, gaps, lam = _shoot(params, a, a == 1.0 - BISECT_EDGE)
         except _Unreachable:
             continue
+        except ConvergenceError as err:
+            failures.append(err)
+            continue
         if best is None or value > best[0]:
             best = (value, gaps, lam, a)
     if best is None:
-        raise ConvergenceError("every orbit turns back before l = 0: no increasing path was found")
+        raise (failures + [ConvergenceError("every orbit turns back before l = 0: no increasing path was found")])[0]
     value, gaps, lam, a = best
     # allocated at once, so that a horizon too long to hold fails at once
     try:

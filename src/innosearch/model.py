@@ -18,9 +18,10 @@ c(j) -> inf as j -> 1:
     reciprocal     c(j) = c0 + k * j / (1 - j)
     logarithmic    c(j) = c0 - k * log(1 - j)
 
-Interval costs use the closed-form antiderivatives, so no quadrature is
-needed anywhere in the package. The reciprocal density is not integrable up
-to 1; the logarithmic one is.
+Interval costs are closed forms in the interval's width and the complements
+1 - a, 1 - b (_interval_cost), so no quadrature is needed anywhere in the
+package and a narrow interval keeps its digits. The reciprocal density is
+not integrable up to 1; the logarithmic one is.
 """
 
 from __future__ import annotations
@@ -167,23 +168,15 @@ def cost_density(cost: CostModel, j: ArrayLike) -> ArrayLike:
 
 
 def cost_integral(cost: CostModel, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    """Cost of searching the interval [a, b), via the closed-form antiderivative.
+    """Cost of searching the interval [a, b), in closed form in its width (_interval_cost).
 
-    Requires 0 <= a <= b < 1 elementwise. Zero-width intervals cost exactly 0.
+    Requires 0 <= a <= b < 1 elementwise. Zero-width intervals cost exactly 0,
+    and however narrow the interval, its error is a few ulps of (c0 + k)(b - a).
     """
     scalar, (a, b) = _operands(a, b)
     if _any(a < 0.0) or _any(b < a) or _any(b >= 1.0):
         raise ValueError("interval endpoints must satisfy 0 <= a <= b < 1")
-    return _ret(scalar, _cost_integral_kernel(cost, a, b, _antiderivative_term(cost, a)))
-
-
-def _antiderivative_term(cost: CostModel, x: ArrayLike) -> ArrayLike:
-    """The log term of the interval cost's antiderivative at x.
-
-    log1p(-x) for the reciprocal family, (1 - x) log1p(-x) for the logarithmic one.
-    """
-    log = _lib(x).log1p(-x)
-    return log if cost.family is CostFamily.RECIPROCAL else (1.0 - x) * log
+    return _ret(scalar, _interval_cost(cost, _lib(a))(b - a, 1.0 - a, 1.0 - b))
 
 
 def _density_slope(cost: CostModel, x: ArrayLike) -> ArrayLike:
@@ -196,23 +189,22 @@ def _density_slope(cost: CostModel, x: ArrayLike) -> ArrayLike:
     return cost.k / (1.0 - x)
 
 
-def _cost_integral_kernel(cost: CostModel, a: ArrayLike, b: ArrayLike, term_a: ArrayLike) -> ArrayLike:
-    """cost_integral without its domain check, given term_a = _antiderivative_term(cost, a).
+def _interval_cost(cost: CostModel, lib=math) -> Callable[[ArrayLike, ArrayLike, ArrayLike], ArrayLike]:
+    """interval(d, wa, wb) = C(a, b), unchecked, in the width d = b - a and the complements
+    wa = 1 - a, wb = 1 - b, with lib's log and log1p (math for floats, numpy for arrays).
 
-    Callers guarantee 0 <= a <= b < 1; a caller with fixed left ends computes
-    term_a once for all of its intervals.
+    Callers guarantee 0 <= a <= b < 1. Every term is a multiple of d or a log1p
+    of d / wb, so the result is exactly 0 at d = 0 and no two endpoint values
+    cancel: however narrow the interval, its error is a few ulps of (c0 + k) d.
+    c0 d is added last, so that a grid's rows never hold it next to the log1p's
+    temporaries; addition commutes, so the bits are the same.
     """
-    d = b - a
-    term_b = _antiderivative_term(cost, b)
+    c0, k = cost.c0, cost.k
     if cost.family is CostFamily.RECIPROCAL:
-        # integral of j/(1-j) on [a, b) is log((1-a)/(1-b)) - (b - a)
-        out = cost.c0 * d + cost.k * (term_a - term_b - d)
-    else:
-        # integral of -log(1-j) on [a, b) is (1-b)log(1-b) - (1-a)log(1-a) + (b - a)
-        out = cost.c0 * d + cost.k * (term_b - term_a + d)
-    if isinstance(d, float):
-        return 0.0 if d == 0.0 else out
-    return _lib(d).where(d == 0.0, 0.0, out)
+        # integral of j/(1-j) on [a, b) is log(wa / wb) - d
+        return lambda d, wa, wb: k * (lib.log1p(d / wb) - d) + c0 * d
+    # integral of -log(1-j) on [a, b) is wb log(wb) - wa log(wa) + d = d (1 - log wa) - wb log(wa / wb)
+    return lambda d, wa, wb: k * (d * (1.0 - lib.log(wa)) - wb * lib.log1p(d / wb)) + c0 * d
 
 
 def posterior_feasible(params: ModelParams, l: ArrayLike) -> ArrayLike:

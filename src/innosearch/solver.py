@@ -69,9 +69,8 @@ from .model import (
     ConvergenceError,
     ModelParams,
     SolverConfig,
-    _antiderivative_term,
-    _cost_integral_kernel,
     _density_slope,
+    _interval_cost,
     cost_density,
     cost_integral,
     feasible_to_search,
@@ -185,16 +184,17 @@ def _rhs_terms(params: ModelParams, l, l_next, denom, cost):
 def _row_objective(params: ModelParams, l: np.ndarray, nodes: np.ndarray, values: np.ndarray):
     """The Bellman objective x -> R + D * W(x) of the rows l, W interpolated from values.
 
-    The row terms 1 - l p and the cost antiderivative at l are computed once
-    here rather than at every evaluation, and nothing is checked: callers
-    guarantee 0 <= l <= x < 1. The operations are bellman_rhs's in the same
-    order, so the results are bitwise equal to it.
+    The row terms 1 - l p and 1 - l are computed once here rather than at
+    every evaluation, and nothing is checked: callers guarantee
+    0 <= l <= x < 1. The operations are bellman_rhs's in the same order, so
+    the results are bitwise equal to it.
     """
     denom = 1.0 - l * params.p
-    term_l = _antiderivative_term(params.cost, l)
+    wl = 1.0 - l
+    interval = _interval_cost(params.cost, np)
 
     def objective(x):
-        r, d = _rhs_terms(params, l, x, denom, _cost_integral_kernel(params.cost, l, x, term_l))
+        r, d = _rhs_terms(params, l, x, denom, interval(x - l, wl, 1.0 - x))
         return r + d * np.interp(x, nodes, values)
 
     return objective

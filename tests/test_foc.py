@@ -20,7 +20,7 @@ from innosearch import (
     value_iteration,
 )
 from innosearch import foc
-from innosearch.model import BISECT_EDGE, OutOfRangeError
+from innosearch.model import BISECT_EDGE, OutOfRangeError, _limit_candidates
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
 
@@ -154,6 +154,21 @@ def test_running_out_of_steps_is_a_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError, match="within 2 periods") as err:
         optimal_path(ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0)), 10)
     assert err.value.history == []
+
+
+def test_a_candidate_that_runs_out_of_steps_is_passed_over(time_limit):
+    # near-tangent: the orbit from the last crossing crawls near the tangency for more than
+    # MAX_STEPS periods, so the path converges to the first crossing, which solves
+    params = ModelParams(
+        0.9003689050580037, 0.673362526347144, 0.5, CostModel.logarithmic(0.043980761669727204, 1.3147586388231716)
+    )
+    time_limit(30)
+    first, last = _limit_candidates(params)
+    with pytest.raises(ConvergenceError, match=f"within {foc.MAX_STEPS} periods"):
+        foc._shoot(params, last, False)
+    shot = optimal_path(params, 20)
+    assert shot.limit == first < 0.77 < last == shot.cap
+    assert shot.value == pytest.approx(0.11314448430909395, rel=1e-12)
 
 
 def test_a_nan_orbit_is_a_convergence_error(monkeypatch, time_limit):

@@ -15,6 +15,7 @@ from innosearch import (
     cost_integral,
     feasible_to_search,
     myopic_boundary,
+    optimal_path,
     posterior_feasible,
     search_upper_bound,
 )
@@ -88,6 +89,33 @@ def test_integral_zero_width_is_exactly_zero():
         assert cost_integral(cost, 0.3, 0.3) == 0.0
         out = cost_integral(cost, np.array([0.0, 0.5]), np.array([0.0, 0.5]))
         assert np.all(out == 0.0)
+
+
+def exact_integral(cost, a, b):
+    """C(a, b) between the doubles a and b, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, c0, k = (Decimal(z) for z in (a, b, cost.c0, cost.k))
+        d, wa, wb = b - a, 1 - a, 1 - b
+        if cost.family.value == "reciprocal":
+            return c0 * d + k * ((wa / wb).ln() - d)
+        return c0 * d + k * (wb * wb.ln() - wa * wa.ln() + d)
+
+
+@pytest.mark.parametrize(
+    "cost", [REC, LOG, CostModel.logarithmic(0.1, 1.0)], ids=["reciprocal", "logarithmic", "logarithmic-c0"]
+)
+def test_integral_keeps_relative_precision(cost):
+    # the canonical path's intervals shrink geometrically toward its limit, down to a few ulps
+    path = optimal_path(params_with(cost), 200).path
+    ends = [0.5, 0.9, 1.0 - 1e-9]
+    a = list(path[:-1]) + ends
+    b = list(path[1:]) + [math.nextafter(x, 1.0) for x in ends]
+    vectorized = cost_integral(cost, np.array(a), np.array(b))
+    for x, y, got in zip(a, b, vectorized):
+        exact = exact_integral(cost, x, y)
+        for value in (cost_integral(cost, x, y), float(got)):
+            assert abs(Decimal(value) - exact) <= Decimal(1e-14) * exact, (x, y)
 
 
 def gauss_legendre_integral(cost, a, b, n=200):
