@@ -2,7 +2,10 @@
 
 Floats are written with 17 significant digits so every CSV cell parses back
 to the exact double that produced it; the JSON twin holds the same rows as
-native types, making the two files interchangeable. Charts are plain
+native types, making the two files interchangeable. The twin has the layout
+of json.dump(..., indent=1), byte for byte, but its rows are encoded by the C
+encoder, which json.dump never reaches with an indent (see _encode_rows).
+Both files are streamed in blocks of _BLOCK rows. Charts are plain
 hand-assembled SVG with no external references, and their content is a pure
 function of the data, so reruns produce byte-identical files.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -25,19 +29,64 @@ def format_cell(x) -> str:
     return str(x)
 
 
+# Rows per write: big enough for the C encoder and %-formatting to dominate,
+# small enough that no whole-file string is ever held.
+_BLOCK = 512
+
+# Encodes a list of rows as [[a,\n   b],\n   [c,\n   d]]: the indent-1 layout of
+# the twin between scalars. A raw newline never occurs inside an encoded string
+# (ensure_ascii escapes it), so "],\n   [" can only be a seam between rows, and
+# one call per block can replace them all: faster than one call per row.
+_encode_rows = json.JSONEncoder(separators=(",\n   ", ": ")).encode
+_ROW_SEAM = "\n  ],\n  [\n   "
+
+
+def _csv_block(block: Sequence[Sequence]) -> str:
+    """block's CSV lines: a column of exact floats as %.17g, any other through format_cell.
+
+    Raises ValueError on rows of unequal length, which the column-wise
+    formatting would cut, and on rows with no cell, which the twin's seams
+    cannot hold.
+    """
+    fmts, cols = [], []
+    for col in zip(*block, strict=True):
+        if set(map(type, col)) == {float}:
+            fmts.append("%.17g")
+            cols.append(col)
+        else:
+            fmts.append("%s")
+            cols.append(list(map(format_cell, col)))
+    if not cols:
+        raise ValueError("a table row needs at least one cell")
+    return (",".join(fmts) + "\n") * len(block) % tuple(chain.from_iterable(zip(*cols)))
+
+
 def write_table(out_dir: str, name: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write name.csv and its JSON twin name.json under out_dir."""
+    """Write name.csv and its JSON twin name.json under out_dir.
+
+    Every row holds one scalar per column. name.json is byte for byte
+    json.dump({"columns": columns, "rows": rows}, indent=1) plus a newline,
+    and each CSV line is its row's cells through format_cell, joined by commas.
+    Both files are written _BLOCK rows at a time, the twin's rows by the C encoder.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    columns = list(columns)
+    blocks = [rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK)]
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(x) for x in row) + "\n")
-    json_path = os.path.join(out_dir, f"{name}.json")
-    payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        for block in blocks:
+            fh.write(_csv_block(block))
+    empty = json.dumps({"columns": columns, "rows": []}, indent=1)
+    with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
+        if not blocks:
+            fh.write(empty + "\n")
+            return
+        fh.write(empty[:-4] + "[\n  [\n   ")  # up to '"rows": '
+        for i, block in enumerate(blocks):
+            if i:
+                fh.write(_ROW_SEAM)
+            fh.write(_encode_rows(list(map(list, block)))[2:-2].replace("],\n   [", _ROW_SEAM))
+        fh.write("\n  ]\n ]\n}\n")
 
 
 def write_json(out_dir: str, name: str, payload) -> None:
@@ -53,22 +102,33 @@ def _escape(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
-    """Round tick positions covering [lo, hi]; deterministic nice-number steps."""
+    """Distinct round tick positions in [lo, hi]; deterministic nice-number steps.
+
+    A tick is rounded to the step's decimals, and to no fewer than 12 so that
+    float noise from summing steps is cleared; steps shrink down to the
+    spacing of the doubles in the range, subnormal ones included.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    exp = math.floor(math.log10(max(raw, 5e-324)))
+    mag = 10.0 ** exp
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if raw <= step:
             break
+    # no step below the widest gap between doubles in [lo, hi], where ticks would repeat
+    step = max(step, hi - math.nextafter(hi, -math.inf), math.nextafter(lo, math.inf) - lo)
+    digits = max(12, 1 - exp)  # a multiple of mult * 10**exp has at most 1 - exp decimals
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
     while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 12))
+        tick = round(t, digits)
+        if lo <= tick <= hi:
+            ticks.append(tick)
         t += step
     return ticks or [lo, hi]
 
@@ -77,6 +137,8 @@ _PALETTE = ("#1f6fb4", "#c23b22", "#2a9d5c", "#8e5bb5", "#c98a1c", "#3aa6a6")
 
 _W, _H = 960, 540
 _ML, _MR, _MT, _MB = 72, 24, 48, 56
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # plot area width and height
+_Y0 = _H - _MB  # y pixel of the plot's bottom edge
 
 
 def line_chart(
@@ -105,12 +167,13 @@ def line_chart(
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    dx, dy = x_hi - x_lo, y_hi - y_lo
 
     def px(x: float) -> float:
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _ML + (x - x_lo) / dx * _PW
 
     def py(y: float) -> float:
-        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _Y0 - (y - y_lo) / dy * _PH
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -133,7 +196,7 @@ def line_chart(
                 f'<text x="{_ML - 8}" y="{y + 4:.2f}" font-size="12" text-anchor="end">{t:g}</text>'
             )
     parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
+        f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" '
         f'fill="none" stroke="#333333"/>'
     )
     parts.append(
@@ -158,11 +221,12 @@ def line_chart(
     legend_y = _MT + 16
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{px(float(x)):.2f},{py(float(y)):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(float(y))
-        )
+        # px and py inline, same arithmetic in the same order
+        pts = " ".join([
+            "%.2f,%.2f" % (_ML + (x - x_lo) / dx * _PW, _Y0 - (y - y_lo) / dy * _PH)
+            for x, y in zip(map(float, xs), map(float, ys))
+            if math.isfinite(y)
+        ])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
         lx = _ML + 12
         parts.append(
