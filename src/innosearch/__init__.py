@@ -26,7 +26,7 @@ _SOURCES = {
         "backward_induction", "bellman_rhs", "continuation_inequality_check", "euler_residual",
         "frontier_sequence", "value_iteration",
     ),
-    "foc": ("optimal_path",),
+    "foc": ("optimal_path", "truncated_path"),
     "oracle": (
         "Assignment", "BudgetExceededError", "DiscreteInstance", "best_assignment_report",
         "compare_with_continuous", "evaluate_assignment", "evaluate_assignment_recursive",

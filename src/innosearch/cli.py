@@ -22,8 +22,10 @@ solve, simulate and sweep share one pipeline: _solve gives the instance and
 its optimal path by reverse shooting on the first-order condition (foc), or
 None for the no-search verdict p v <= c(0), and _headline the numbers
 summary.json and a sweep row share. The verdict is a success (exit 0).
-solve's value table and chart come from the path's orbits (foc.value_table);
-only oracle's backward induction uses a grid. solve and sweep work in
+solve's value table and chart come from the path's orbits (foc.value_table).
+oracle compares its best assignment with the problem truncated to the same
+horizon, solved the same way from the last period (foc.truncated_path), so
+no command uses a grid and --grid-size affects none. solve and sweep work in
 floats and never import numpy; oracle and simulate load it when they start.
 
 FAILURES is the one exit-code policy, first matching row wins: 2 configuration
@@ -48,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .config import SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSpec, load_run_config
-from .foc import ShootingSolution, optimal_path, value_table
+from .foc import ShootingSolution, optimal_path, truncated_path, value_table
 from .model import (
     BudgetExceededError,
     ConvergenceError,
@@ -67,7 +69,7 @@ from .output import line_chart, write_json, write_svg, write_table
 _LAZY = {
     ".oracle": ("DiscreteInstance", "best_assignment_report", "compare_with_continuous", "structure_check"),
     ".simulate": ("SimConfig", "active_probability_analytic", "simulate_batch"),
-    # all but backward_induction unused here; perfbench/spans.py traces them under these names
+    # none of these is used here; perfbench/spans.py traces them under these names
     ".solver": ("backward_induction", "euler_residual", "frontier_sequence", "value_iteration"),
     # unused here; perfbench/workloads.py swaps it in traced runs
     "concurrent.futures": ("ProcessPoolExecutor",),
@@ -306,7 +308,7 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
 
 
 def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
-    _load(".oracle", ".solver")
+    _load(".oracle")
     params = rc.model_params()
     instance = DiscreteInstance.from_params(params, rc.slots, rc.horizon)
     report = best_assignment_report(instance, budget=rc.budget)
@@ -314,8 +316,8 @@ def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
 
     comparison = None
     if feasible_to_search(params):
-        bsol = backward_induction(params, rc.horizon, rc.solver_config())
-        comparison = dataclasses.asdict(compare_with_continuous(instance, bsol, report))
+        value, path = truncated_path(params, rc.horizon)
+        comparison = dataclasses.asdict(compare_with_continuous(instance, params, value, path, report))
     oracle = {
         "slots": rc.slots,
         "horizon": rc.horizon,

@@ -45,6 +45,18 @@ another candidate solves.
 Orbits over one fundamental domain, the shot orbit among them, pass through
 every state of [0, a] the plan visits from 0: each orbit point is a pair
 (l, policy(l)) of the grid-free value table.
+
+The problem truncated to T periods (truncated_path) is shot the same way,
+from its last period. Its last boundary l_T sets l_{T-1} by the last
+period's condition c(l_T)(1 - p l_{T-1}) = p v, in the gaps
+e_{T-1} = [(1 - p a) D(e_T) + G] / (p c_T): the backward step with no period
+after T. Earlier periods take the backward step above, and e_T is bisected
+to adjacent doubles until l_0 = 0 after T - 1 steps. At the edge the path
+may also reach a at some period m <= T and stay there, where the
+Kuhn-Tucker condition allows it: l_{m-1} up to the last period's condition
+at m = T, up to the step back from (0, 0) before. A truncation so long that
+its last gap would lie below the least normal double is the infinite path
+to the last double.
 """
 
 from __future__ import annotations
@@ -65,7 +77,9 @@ from .model import (
     _limit_candidates,
     _marginal_excess,
     cost_density,
+    cost_integral,
     feasible_to_search,
+    myopic_boundary,
 )
 
 # Backward steps one orbit may take before shooting gives up.
@@ -76,6 +90,8 @@ MAX_SHOTS = 200
 START_GAP = 1e-4
 # value_table traces about this many rows, one per node of the default grid.
 TABLE_ROWS = 2048
+# The least normal double: truncated_path bisects a path's last gap above it.
+MIN_GAP = 2.2250738585072014e-308
 
 
 @dataclass(frozen=True)
@@ -149,10 +165,10 @@ def _tail_rate(params: ModelParams, a: float) -> float:
     return (2.0 / delta) / (2.0 + b + root)
 
 
-def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Callable, float]:
-    """(back, term, lambda) in the gaps to the limit a: the step e_{t-1} = back(e_t, e_{t+1}),
-    the period payoff term(e_{t-1}, e_t) = p (l_t - l_{t-1}) v - (1 - p l_{t-1}) C(l_{t-1}, l_t),
-    and the tail rate."""
+def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Callable, Callable, float]:
+    """(back, last, term, lambda) in the gaps to the limit a: the step e_{t-1} = back(e_t, e_{t+1}),
+    the last period's step e_{T-1} = last(e_T) of a path that ends at T, the period payoff
+    term(e_{t-1}, e_t) = p (l_t - l_{t-1}) v - (1 - p l_{t-1}) C(l_{t-1}, l_t), and the tail rate."""
     p, v, delta = params.p, params.v, params.delta
     density, drop = _gap_kernels(params, a)
     interval = _interval_cost(params.cost)
@@ -165,10 +181,14 @@ def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Calla
         cost = interval(e - e_next, w + e, w + e_next)
         return delta * e + (delta * p * cost + (1.0 - delta) * (pa * drop(e) + excess)) / (p * c)
 
+    def last(e):
+        # back with no period after T: c(l_T)(1 - p l_{T-1}) = p v
+        return (pa * drop(e) + excess) / (p * density(e))
+
     def term(e_prev, e_now):
         return p * (e_prev - e_now) * v - (pa + p * e_prev) * interval(e_prev - e_now, w + e_prev, w + e_now)
 
-    return back, term, lam
+    return back, last, term, lam
 
 
 def _orbit(back: Callable, lam: float, a: float, e_start: float, steps=None) -> List[float]:
@@ -185,7 +205,7 @@ def _orbit(back: Callable, lam: float, a: float, e_start: float, steps=None) -> 
 
 def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float], float]:
     """(W(0), gaps e_0 = a, e_1 .. e_{T+1} to the limit a, lambda) of the optimal path converging to a."""
-    back, term, lam = _stepper(params, a, edge)
+    back, _, term, lam = _stepper(params, a, edge)
     orbit = functools.partial(_orbit, back, lam, a)
     # hi's orbit first reaches l <= 0 after `steps` steps; lo's is hi's a period
     # later (exactly at the edge, up to the linearization at a crossing), so its
@@ -254,6 +274,51 @@ def _payoff(params: ModelParams, gaps: List[float], lam: float, term: Callable) 
     return math.fsum(terms)
 
 
+def _best_shot(params: ModelParams, candidates: Tuple[float, ...], shoot: Callable) -> Tuple[float, List[float], float, float]:
+    """(W(0), gaps, lambda, a) of the candidate limit a whose path (W(0), gaps, lambda) =
+    shoot(params, a, edge) has the largest W(0).
+
+    A candidate whose orbit turns back before l = 0 or runs out of steps is passed
+    over. Raises ConvergenceError when no candidate converges: the first such
+    error when an orbit needed more than MAX_STEPS periods or the shooting more
+    than MAX_SHOTS orbits.
+    """
+    best, failures = None, []
+    for a in candidates:
+        try:
+            value, gaps, lam = shoot(params, a, a == 1.0 - BISECT_EDGE)
+        except _Unreachable:
+            continue
+        except ConvergenceError as err:
+            failures.append(err)
+            continue
+        if best is None or value > best[0]:
+            best = (value, gaps, lam, a)
+    if best is None:
+        raise (failures + [ConvergenceError("every orbit turns back before l = 0: no increasing path was found")])[0]
+    return best
+
+
+def _frontier(a: float, gaps: List[float], lam: float, horizon: int) -> Tuple[float, ...]:
+    """l_0 = 0, l_1 .. l_horizon: a - e_t for the gaps e_t, then a - e_n lambda^k past the last one, e_n."""
+    # allocated at once, so that a horizon too long to hold fails at once
+    try:
+        path = [0.0] * (horizon + 1)
+    except (MemoryError, OverflowError):  # OverflowError: more elements than a list can index
+        raise MemoryError(f"a path of {horizon} periods does not fit in memory") from None
+    n = min(len(gaps) - 1, horizon)
+    for t in range(1, horizon + 1):
+        path[t] = a - (gaps[t] if t <= n else gaps[n] * lam ** (t - n))
+    return tuple(path)
+
+
+def _validate(params: ModelParams, horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not feasible_to_search(params):
+        raise ValueError("searching is not worthwhile: p v <= c(0)")
+
+
 def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     """The optimal frontier path from l = 0 for `horizon` periods and its value W(0).
 
@@ -267,34 +332,94 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     MAX_STEPS periods or the shooting more than MAX_SHOTS orbits), and
     MemoryError when the path's horizon + 1 floats do not fit in memory.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not feasible_to_search(params):
-        raise ValueError("searching is not worthwhile: p v <= c(0)")
+    _validate(params, horizon)
     candidates = _limit_candidates(params)
-    best, failures = None, []
-    for a in candidates:
-        try:
-            value, gaps, lam = _shoot(params, a, a == 1.0 - BISECT_EDGE)
-        except _Unreachable:
-            continue
-        except ConvergenceError as err:
-            failures.append(err)
-            continue
-        if best is None or value > best[0]:
-            best = (value, gaps, lam, a)
-    if best is None:
-        raise (failures + [ConvergenceError("every orbit turns back before l = 0: no increasing path was found")])[0]
-    value, gaps, lam, a = best
-    # allocated at once, so that a horizon too long to hold fails at once
-    try:
-        path = [0.0] * (horizon + 1)
-    except (MemoryError, OverflowError):  # OverflowError: more elements than a list can index
-        raise MemoryError(f"a path of {horizon} periods does not fit in memory") from None
-    n = min(len(gaps) - 1, horizon)
-    for t in range(1, horizon + 1):
-        path[t] = a - (gaps[t] if t <= n else gaps[n] * lam ** (t - n))
-    return ShootingSolution(value, tuple(path), a, candidates[-1], lam, tuple(gaps))
+    value, gaps, lam, a = _best_shot(params, candidates, _shoot)
+    return ShootingSolution(value, _frontier(a, gaps, lam, horizon), a, candidates[-1], lam, tuple(gaps))
+
+
+def _shoot_truncated(params: ModelParams, a: float, edge: bool, floor: float, horizon: int) -> Tuple[float, List[float], float]:
+    """(W(0), gaps e_0 = a, e_1 .. e_T to the candidate limit a, 1) of the path that ends at
+    T = horizon >= 2 with l_T in (floor, a]; the tail rate 1 keeps it at l_T.
+
+    floor is q* for the first candidate and the one below a for any other: just above a
+    crossing, g > 0 and the last period's condition sets l_{T-1} >= l_T. Or _shoot's
+    (W(0), gaps, lambda) of the infinite path into a, when the T-period path is that path
+    to the last double: its last gap lies below the least normal double.
+    """
+    back, last, term, _ = _stepper(params, a, edge)
+
+    def reverse(es):
+        """(whether the path is too high, es): the gaps es = [e_T, e_{T-1}] stepped back to
+        e_0, or until l <= 0 (too low); None, and too high, when the path turns back."""
+        while True:
+            if es[-1] <= es[-2]:
+                return True, None
+            if len(es) > horizon or es[-1] >= a:
+                return es[-1] < a, es
+            if len(es) > MAX_STEPS:
+                raise ConvergenceError(f"no path of {horizon} periods to l = 0 within {MAX_STEPS} periods of {a!r}")
+            es.append(back(es[-1], es[-2]))
+
+    def bisect(shot, lo, hi):
+        """The gaps e_0 = a .. e_T of shot's root in (lo, hi), to adjacent doubles: None when
+        shot(lo) is too low; hi, where l_{T-1} would be 0 or the path turns back, counts as too low."""
+        high, low = shot(lo), None
+        if not high[0]:
+            return None
+        while True:
+            # geometric steps while the bracket spans orders of magnitude, then halving
+            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            trial = shot(mid)
+            if trial[0]:
+                lo, high = mid, trial
+            else:
+                hi, low = mid, trial
+        # a root only where l_0 changes sign between two whole paths: not at a turn-back or an early l <= 0
+        if high[1] is None or low is None or len(high[1]) <= horizon or len(low[1]) <= horizon:
+            raise _Unreachable(a)
+        above, below = high[1], low[1]
+        gaps = (above if a - above[-1] < below[-1] - a else below)[::-1]
+        gaps[0] = a  # l_0 = 0
+        return gaps
+
+    # l_T below a, with l_{T-1} from the last period's condition; at the edge also l_T = a,
+    # with e_{T-1} below that condition's gap at a, and so on back to earlier periods (_shoot)
+    families = [(lambda e: reverse([e, last(e)]), a - floor)]
+    if edge:
+        families.append((lambda e: reverse([0.0, e]), last(0.0)))
+    for shot, top in families:
+        gaps = bisect(shot, MIN_GAP, top)
+        if gaps is not None:
+            return _payoff(params, gaps, 1.0, term), gaps, 1.0
+    return _shoot(params, a, edge)
+
+
+def truncated_path(params: ModelParams, horizon: int) -> Tuple[float, Tuple[float, ...]]:
+    """W(0) and the optimal path l_0 = 0, l_1 .. l_T of the problem truncated to T = horizon periods.
+
+    T = 1 is the one-shot problem: l_1 = q*. For T >= 2 each candidate limit a is
+    shot as in optimal_path, in a's gaps, but from the last period: the gap
+    e_T = a - l_T is bisected to adjacent doubles in (0, a - a'), a' the
+    candidate below a or q* for the first, with l_{T-1} set by the last
+    period's first-order condition c(l_T)(1 - p l_{T-1}) = p v, until the path
+    reaches l_0 = 0 after T - 1 backward steps. A path that turns back
+    (l_{T-1} >= l_T just above a crossing) counts as too high. At the edge the
+    path may reach a at some period m <= T and stay there. The path with the
+    largest W(0) wins. Raises as optimal_path does.
+    """
+    _validate(params, horizon)
+    q = myopic_boundary(params)
+    if horizon == 1:
+        return params.p * q * params.v - cost_integral(params.cost, 0.0, q), (0.0, q)
+    candidates = _limit_candidates(params)
+    floors = dict(zip(candidates, (q,) + candidates[:-1]))
+    value, gaps, lam, a = _best_shot(
+        params, candidates, lambda params, a, edge: _shoot_truncated(params, a, edge, floors[a], horizon)
+    )
+    return value, _frontier(a, gaps, lam, horizon)
 
 
 def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[Tuple[float, ...], ...]:
@@ -311,7 +436,7 @@ def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[Tuple[floa
     The first row is the path's own (0, W(0), l_1), the last (r, 0, r).
     """
     p, delta, a, lam = params.p, params.delta, shot.limit, shot.tail_rate
-    back, term, _ = _stepper(params, a, lam == 0.0)
+    back, _, term, _ = _stepper(params, a, lam == 0.0)
     pa = 1.0 - p * a
     x = shot.orbit[-2]
     n = -(-TABLE_ROWS // (len(shot.orbit) - 1))

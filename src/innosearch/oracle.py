@@ -19,6 +19,11 @@ value, with the same bits at any block size.
 Assignments are ordered by their mixed-radix code with slot 0 most
 significant, so numeric order coincides with lexicographic order of the
 schedule tuple; the reported maximizer is the lexicographically earliest.
+
+compare_with_continuous sets the best assignment against the continuum
+problem truncated to the same T periods, solved without a grid by reverse
+shooting from the last period (foc.truncated_path): its W(0) and path are
+exact to a few ulps, so the comparison measures the slots alone.
 """
 
 from __future__ import annotations
@@ -26,12 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .model import DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, cost_integral
-from .solver import BackwardSolution
 
 # assignments per enumeration block: two float64 buffers of this size stay in L2
 BLOCK_ELEMENTS = 1 << 16
@@ -303,37 +307,36 @@ def structure_check(assignment: Assignment) -> StructureReport:
 
 
 def compare_with_continuous(
-    instance: DiscreteInstance, solution: BackwardSolution, report: OracleReport
+    instance: DiscreteInstance, params: ModelParams, value: float, path: Sequence[float], report: OracleReport
 ) -> ComparisonReport:
     """Benchmark the truncated continuum solution against the exact discrete optimum.
 
-    report is best_assignment_report's result for instance. The discrete
-    plan class embeds in the continuum one, so the continuum value should
-    weakly dominate, with a gap that shrinks as slots refine. The frontier
-    deviation compares cumulative searched mass after each period against
-    the continuum path boundaries.
+    value and path are foc.truncated_path(params, T)'s W(0) and path
+    l_0 = 0, l_1 .. l_T, T the instance's horizon, and report is
+    best_assignment_report's result for instance. Raises ValueError when the
+    path's horizon, p, v or delta, or the slot costs built from params differ
+    from the instance's. The discrete plan class embeds in the continuum one,
+    so the continuum value should weakly dominate, with a gap that shrinks as
+    slots refine. The frontier deviation compares cumulative searched mass
+    after each period against the continuum path boundaries.
     """
-    if instance.horizon != solution.truncation:
-        raise ValueError(
-            f"instance horizon {instance.horizon} does not match solution truncation {solution.truncation}"
-        )
-    params = solution.params
+    if instance.horizon != len(path) - 1:
+        raise ValueError(f"instance horizon {instance.horizon} does not match the path's horizon {len(path) - 1}")
     if not (instance.p == params.p and instance.v == params.v and instance.delta == params.delta):
-        raise ValueError("instance and solution disagree on p, v, or delta")
+        raise ValueError("instance and params disagree on p, v, or delta")
     ref = DiscreteInstance.from_params(params, instance.slots, instance.horizon)
     same = np.isclose(ref.slot_costs, instance.slot_costs, rtol=1e-12, atol=1e-12) | (
         np.isinf(ref.slot_costs) & np.isinf(instance.slot_costs)
     )
     if not same.all():
-        raise ValueError("instance slot costs were not built from the solution's cost model")
+        raise ValueError("instance slot costs were not built from the params' cost model")
 
     m, _, M_prior = _period_profiles(instance, _check_schedule(instance, report.assignment))
     cum_mass = M_prior + m  # searched mass through each period
-    deviation = float(np.max(np.abs(cum_mass - solution.path[1:])))
-    continuous = float(solution.stage_values[-1][0])
+    deviation = float(np.max(np.abs(cum_mass - np.asarray(path[1:]))))
     return ComparisonReport(
         discrete_value=report.value,
-        continuous_value=continuous,
-        value_gap=continuous - report.value,
+        continuous_value=value,
+        value_gap=value - report.value,
         frontier_deviation=deviation,
     )

@@ -113,6 +113,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / max(target - 1, 1)
+    if raw == math.inf:
+        # hi - lo overflows although hi and lo are finite: the halves' difference cannot
+        raw = (0.5 * hi - 0.5 * lo) / max(target - 1, 1) * 2.0
     exp = math.floor(math.log10(max(raw, 5e-324)))
     mag = 10.0 ** exp
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -125,7 +128,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * step:
+    end = hi + 1e-9 * step
+    if end == math.inf:  # hi within 1e-9 step of the largest double
+        end = hi
+    while t <= end:
         tick = round(t, digits)
         if lo <= tick <= hi:
             ticks.append(tick)

@@ -33,6 +33,7 @@ from innosearch import (
     optimal_path,
     simulate_batch,
     structure_check,
+    truncated_path,
     value_iteration,
 )
 from innosearch.solver import TOL
@@ -155,16 +156,19 @@ def test_acceptance_2_maximizers_are_structured(capsys):
     )
 
 
-def test_acceptance_3_final_period_boundary(capsys, base_params):
-    """The last searched boundary satisfies the expected-prize = marginal-cost
-    condition, and a one-period horizon recovers the one-shot boundary."""
+def grid_truncated(params, horizon):
+    """W(0) and path of the problem truncated to `horizon` periods, by backward induction on the grid."""
+    bsol = backward_induction(params, horizon, SOLVER)
+    return float(bsol.stage_values[horizon][0]), bsol.path
+
+
+def check_final_period_boundary(capsys, base_params, truncated, label):
     failures = []
     p, v = base_params.p, base_params.v
     q_star = myopic_boundary(base_params)
     residuals = []
     for horizon in (1, 2, 5):
-        bsol = backward_induction(base_params, horizon, SOLVER)
-        boundaries = bsol.path
+        _, boundaries = truncated(base_params, horizon)
         l_prev, l_last = float(boundaries[-2]), float(boundaries[-1])
         denom = (1.0 - l_prev) * p + (1.0 - p)
         resid = p * v / denom - float(cost_density(base_params.cost, l_last))
@@ -178,19 +182,25 @@ def test_acceptance_3_final_period_boundary(capsys, base_params):
         capsys,
         3,
         failures,
-        f"T in (1, 2, 5): worst boundary residual {worst:.1e}, T=1 matches q* to 1e-10",
+        f"{label}, T in (1, 2, 5): worst boundary residual {worst:.1e}, T=1 matches q* to 1e-10",
     )
 
 
-def test_acceptance_4_truncation_never_optimal(capsys, base_params):
-    """Stopping after T periods is dominated: pushing slightly past the last
-    truncated boundary violates the stopping inequality, and the (T+1)-period
-    value is strictly higher."""
+def test_acceptance_3_final_period_boundary(capsys, base_params):
+    """The last searched boundary satisfies the expected-prize = marginal-cost
+    condition, and a one-period horizon recovers the one-shot boundary."""
+    check_final_period_boundary(capsys, base_params, grid_truncated, "grid")
+
+
+def test_acceptance_3_final_period_boundary_by_reverse_shooting(capsys, base_params):
+    check_final_period_boundary(capsys, base_params, truncated_path, "reverse shooting")
+
+
+def check_truncation_never_optimal(capsys, base_params, truncated, label):
     failures = []
     for horizon in (1, 2, 5):
-        shorter = backward_induction(base_params, horizon, SOLVER)
-        longer = backward_induction(base_params, horizon + 1, SOLVER)
-        boundaries = shorter.path
+        shorter_value, boundaries = truncated(base_params, horizon)
+        longer_value, _ = truncated(base_params, horizon + 1)
         l_prev, l_last = float(boundaries[-2]), float(boundaries[-1])
         candidates = [l_last + 1e-3 * f for f in (0.1, 0.5, 1.0)]
         checks = continuation_inequality_check(base_params, l_prev, l_last, candidates)
@@ -199,18 +209,27 @@ def test_acceptance_4_truncation_never_optimal(capsys, base_params):
                 failures.append(
                     f"T={horizon}: no violation at candidate {candidate:.6f}"
                 )
-        gain = float(longer.stage_values[horizon + 1][0]) - float(
-            shorter.stage_values[horizon][0]
-        )
+        gain = longer_value - shorter_value
         if not gain > 0.0:
             failures.append(f"T={horizon}: extra period gained {gain:.2e}")
     report(
         capsys,
         4,
         failures,
-        "T in (1, 2, 5): inequality violated within 1e-3 past the last boundary, "
+        f"{label}, T in (1, 2, 5): inequality violated within 1e-3 past the last boundary, "
         "one more period always worth taking",
     )
+
+
+def test_acceptance_4_truncation_never_optimal(capsys, base_params):
+    """Stopping after T periods is dominated: pushing slightly past the last
+    truncated boundary violates the stopping inequality, and the (T+1)-period
+    value is strictly higher."""
+    check_truncation_never_optimal(capsys, base_params, grid_truncated, "grid")
+
+
+def test_acceptance_4_truncation_never_optimal_by_reverse_shooting(capsys, base_params):
+    check_truncation_never_optimal(capsys, base_params, truncated_path, "reverse shooting")
 
 
 def test_acceptance_5_active_share_tracks_analytic(capsys, mc_batches):
@@ -240,16 +259,14 @@ def test_acceptance_5_active_share_tracks_analytic(capsys, mc_batches):
     )
 
 
-def test_acceptance_6_discretization_converges(capsys, base_params):
-    """The exhaustive discrete benchmark closes in on the two-period
-    continuous value as the slot grid doubles."""
+def check_discretization_converges(capsys, base_params, truncated, label):
     failures = []
-    bsol = backward_induction(base_params, 2, SOLVER)
+    value, path = truncated(base_params, 2)
     gaps, deviations = [], []
     for n in (4, 8, 16):
         instance = DiscreteInstance.from_params(base_params, n, 2)
         rep = best_assignment_report(instance, budget=50_000_000)
-        comp = compare_with_continuous(instance, bsol, rep)
+        comp = compare_with_continuous(instance, base_params, value, path, rep)
         gaps.append(comp.value_gap)
         deviations.append(comp.frontier_deviation)
         if comp.value_gap < -1e-9:
@@ -264,10 +281,20 @@ def test_acceptance_6_discretization_converges(capsys, base_params):
         capsys,
         6,
         failures,
-        "N = 4 -> 8 -> 16: value gaps "
+        f"{label}, N = 4 -> 8 -> 16: value gaps "
         + " > ".join(f"{g:.2e}" for g in gaps)
         + ", all within 1/N",
     )
+
+
+def test_acceptance_6_discretization_converges(capsys, base_params):
+    """The exhaustive discrete benchmark closes in on the two-period
+    continuous value as the slot grid doubles."""
+    check_discretization_converges(capsys, base_params, grid_truncated, "grid")
+
+
+def test_acceptance_6_discretization_converges_by_reverse_shooting(capsys, base_params):
+    check_discretization_converges(capsys, base_params, truncated_path, "reverse shooting")
 
 
 def test_acceptance_7_numerical_hygiene(capsys, base_params, base_solution, base_path):

@@ -350,6 +350,39 @@ def test_solve_and_sweep_never_import_numpy(tmp_path):
     assert os.path.isfile(tmp_path / "simulate" / "simulation.csv")
 
 
+# run in a fresh interpreter, since this test session imported the grid solver long ago
+NO_SOLVER_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    from innosearch import cli
+
+    out = sys.argv[1]
+    for i, argv in enumerate([
+        ["oracle", "--slots", "4", "--horizon", "2"],
+        ["oracle", "--slots", "6", "--horizon", "3", "--cost-family", "logarithmic", "--c0", "0.1"],
+        ["oracle", "--slots", "1", "--horizon", "1"],
+        ["solve", "--horizon", "20"],
+        ["simulate", "--runs", "1000", "--horizon", "20"],
+        ["sweep", "--param", "v", "--values", "1,2", "--horizon", "20"],
+    ]):
+        assert cli.main(argv + ["--out", f"{out}/{i}"]) == 0, argv
+        assert "innosearch.solver" not in sys.modules, argv
+        if argv[0] == "oracle":
+            with open(f"{out}/{i}/oracle.json", encoding="utf-8") as fh:
+                assert json.load(fh)["comparison"]["value_gap"] >= 0.0, argv
+    """
+)
+
+
+def test_no_command_imports_the_grid_solver(tmp_path):
+    src = os.path.dirname(os.path.dirname(innosearch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", NO_SOLVER_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.isfile(tmp_path / "0" / "oracle.json")
+
+
 @pytest.mark.parametrize("command, name", [("simulate", "simulate_batch"), ("oracle", "best_assignment_report")])
 def test_handler_calls_the_function_set_on_cli(tmp_path, monkeypatch, command, name):
     # set on the module before the handler binds its lazily loaded names: the handler keeps it

@@ -15,12 +15,15 @@ from innosearch import (
     cost_integral,
     feasible_to_search,
     frontier_sequence,
+    myopic_boundary,
     optimal_path,
     search_upper_bound,
+    truncated_path,
     value_iteration,
 )
 from innosearch import foc
-from innosearch.model import BISECT_EDGE, OutOfRangeError, _limit_candidates
+from innosearch.solver import backward_induction
+from innosearch.model import BISECT_EDGE, OutOfRangeError, _density_slope, _limit_candidates, cost_density
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
 
@@ -213,3 +216,119 @@ def test_path_properties_over_the_domain(family, p, v, delta, c0, k):
     # the grid's path is a feasible plan, and its payoff can only fall short of the optimum
     grid_path = frontier_sequence(value_iteration(params, SolverConfig(grid_size=512)), 2000)
     assert shot.value >= plan_payoff(params, grid_path) - 1e-14 * abs(shot.value)
+
+
+# ------------------------------------------------------- truncated horizon
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_INSTANCES))
+def test_one_period_truncation_is_the_one_shot_problem(name):
+    params = TABLE_INSTANCES[name]
+    q = myopic_boundary(params)
+    value, path = truncated_path(params, 1)
+    assert path == (0.0, q)
+    assert value == params.p * q * params.v - cost_integral(params.cost, 0.0, q)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_INSTANCES))
+def test_truncated_path_is_stationary(name):
+    # every boundary below the edge satisfies its first-order condition, the last one
+    # c(l_T)(1 - p l_{T-1}) = p v, up to the condition's own rounding: a few ulps of l_t times c'(l_t)
+    params = TABLE_INSTANCES[name]
+    p, v, delta, cost = params.p, params.v, params.delta, params.cost
+    edge = 1.0 - BISECT_EDGE
+    for horizon in (2, 3, 5, 10):
+        value, path = truncated_path(params, horizon)
+        assert len(path) == horizon + 1 and path[0] == 0.0
+        assert value == pytest.approx(plan_payoff(params, path), rel=1e-13)
+        for t in range(1, horizon + 1):
+            if path[t] == edge:
+                continue
+            c = float(cost_density(cost, path[t]))
+            marginal = p * v - (1.0 - p * path[t - 1]) * c
+            if t < horizon:
+                marginal -= delta * (p * v - p * cost_integral(cost, path[t], path[t + 1]) - (1.0 - p * path[t]) * c)
+            floor = 8.0 * math.ulp(path[t]) * _density_slope(cost, path[t])
+            assert abs(marginal) <= 1e-9 * p * v + floor, (horizon, t, marginal)
+
+
+def test_truncated_path_at_the_edge_reaches_it_and_stays():
+    # the infinite path reaches the edge at t = 3: so does every truncation with T >= 3, and T = 2 at t = 2
+    params = TABLE_INSTANCES["edge-log"]
+    edge = 1.0 - BISECT_EDGE
+    shot = optimal_path(params, 10)
+    assert shot.path[2] < edge == shot.path[3]
+    value, path = truncated_path(params, 2)
+    assert path[1] < edge == path[2] and value < shot.value
+    for horizon in (3, 5, 10):
+        value, path = truncated_path(params, horizon)
+        assert path == shot.path[: horizon + 1]
+        assert value == pytest.approx(shot.value, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["edge-log", "multi-root"])
+def test_truncated_path_agrees_with_the_grid(name):
+    # grid 8192: |dW(0)| measured 6.7e-8 (edge) and 1.8e-9 (multi-root), |dl_t| 6.0e-5 and 2.2e-5
+    params = TABLE_INSTANCES[name]
+    for horizon in (2, 3):
+        value, path = truncated_path(params, horizon)
+        bsol = backward_induction(params, horizon, SolverConfig(grid_size=8192))
+        assert value == pytest.approx(float(bsol.stage_values[horizon][0]), rel=1e-7)
+        assert np.max(np.abs(np.asarray(path) - bsol.path)) < 1e-4
+        # at the edge where the grid is
+        assert [x == 1.0 - BISECT_EDGE for x in path] == [x == 1.0 - BISECT_EDGE for x in bsol.path]
+
+
+def test_truncated_multi_root_path_stays_below_the_first_crossing():
+    params = TABLE_INSTANCES["multi-root"]
+    first = _limit_candidates(params)[0]
+    for horizon in (2, 3, 5, 10):
+        _, path = truncated_path(params, horizon)
+        assert np.all(np.diff(path) > 0.0) and path[-1] < first
+
+
+def test_long_truncation_is_the_infinite_path():
+    # past the horizon at which the last gap falls below the least normal double,
+    # the truncated path is the infinite one
+    params = TABLE_INSTANCES["canonical"]
+    shot = optimal_path(params, 5000)
+    value, path = truncated_path(params, 5000)
+    assert path == shot.path
+    assert value == shot.value
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(["reciprocal", "logarithmic"]),
+    p=st.floats(0.05, 0.95),
+    v=st.floats(0.1, 20.0),
+    delta=st.floats(0.3, 0.999),
+    c0=st.floats(0.0, 1.0),
+    k=st.floats(0.1, 5.0),
+)
+def test_truncated_paths_over_the_domain(family, p, v, delta, c0, k):
+    params = ModelParams(p, v, delta, CostModel(family, c0, k))
+    assume(feasible_to_search(params))
+    try:
+        shot = optimal_path(params, 1)
+    except OutOfRangeError:
+        assume(False)
+    edge, r, lam = 1.0 - BISECT_EDGE, shot.limit, shot.tail_rate
+    values, w_gaps, l1_gaps = [], [], []
+    for horizon in (1, 2, 3, 5, 10, 40):
+        value, path = truncated_path(params, horizon)
+        b = np.asarray(path)
+        assert len(b) == horizon + 1 and b[0] == 0.0 and math.isfinite(value)
+        # increasing up to j*, strictly wherever the increment spans two doubles of the infinite
+        # path's limit r; at the edge from the period it reaches it
+        assert np.all(np.diff(b) >= 0.0) and b[-1] <= shot.cap
+        strict = ((1.0 - lam) * (r - b[:-1]) > 2.0 * math.ulp(r)) & (b[:-1] < edge)
+        assert np.all(np.diff(b)[strict] > 0.0)
+        assert np.all(b[np.argmax(b == edge):] == edge) or edge not in b
+        values.append(value)
+        w_gaps.append(shot.value - value)
+        l1_gaps.append(abs(b[1] - shot.path[1]))
+    # one more period never hurts, and the truncations close in on the infinite problem
+    assert all(b >= a - 1e-14 * abs(a) for a, b in zip(values, values[1:]))
+    assert all(gap >= -1e-14 * abs(shot.value) for gap in w_gaps)
+    assert w_gaps[-1] <= w_gaps[0] and l1_gaps[-1] <= l1_gaps[0]

@@ -13,12 +13,12 @@ from innosearch import (
     DiscreteInstance,
     ModelParams,
     SolverConfig,
-    backward_induction,
     best_assignment_report,
     compare_with_continuous,
     evaluate_assignment,
     evaluate_assignment_recursive,
     structure_check,
+    truncated_path,
 )
 from innosearch import oracle
 from innosearch.model import cost_density
@@ -301,11 +301,11 @@ def test_ordering_swap_never_gains():
 
 
 def test_comparison_with_continuum(base_params):
-    bsol = backward_induction(base_params, 2, SolverConfig(grid_size=1024))
+    value, path = truncated_path(base_params, 2)
     gaps = []
     for slots in (4, 8):
         instance = DiscreteInstance.from_params(base_params, slots, 2)
-        comp = compare_with_continuous(instance, bsol, best_assignment_report(instance))
+        comp = compare_with_continuous(instance, base_params, value, path, best_assignment_report(instance))
         assert comp.value_gap >= -1e-9  # the continuum plan class is richer
         assert comp.frontier_deviation <= 1.0 / slots
         gaps.append(comp.value_gap)
@@ -313,15 +313,15 @@ def test_comparison_with_continuum(base_params):
 
 
 def test_comparison_rejects_mismatches(base_params):
-    bsol = backward_induction(base_params, 2, SolverConfig(grid_size=1024))
+    value, path = truncated_path(base_params, 2)
     report = best_assignment_report(DiscreteInstance.from_params(base_params, 4, 2))
     with pytest.raises(ValueError):
-        compare_with_continuous(DiscreteInstance.from_params(base_params, 4, 3), bsol, report)
+        compare_with_continuous(DiscreteInstance.from_params(base_params, 4, 3), base_params, value, path, report)
     other = ModelParams(0.4, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0))
     with pytest.raises(ValueError):
-        compare_with_continuous(DiscreteInstance.from_params(other, 4, 2), bsol, report)
+        compare_with_continuous(DiscreteInstance.from_params(other, 4, 2), base_params, value, path, report)
     tampered = DiscreteInstance(
         base_params.p, base_params.v, base_params.delta, 2, (0.1, 0.2, 0.3, 0.4)
     )
     with pytest.raises(ValueError):
-        compare_with_continuous(tampered, bsol, report)
+        compare_with_continuous(tampered, base_params, value, path, report)

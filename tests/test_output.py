@@ -199,6 +199,21 @@ def test_nice_ticks_are_distinct_and_in_range(lo, hi):
     assert all(lo <= t <= top for t in ticks)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7976931348623157e308, 1.7976931348623157e308), (-8.5e306, 1.785e308)])
+def test_nice_ticks_over_a_range_wider_than_the_largest_double(lo, hi):
+    # hi - lo overflows to inf; the step is still finite and round
+    ticks = _nice_ticks(lo, hi)
+    assert len(ticks) >= 2 and all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert all(lo <= t <= hi and math.isfinite(t) for t in ticks)
+    steps = {b - a for a, b in zip(ticks, ticks[1:])}
+    assert len(steps) == 1 and steps.pop() in (5e307, 1e308)
+
+
+def test_chart_of_values_wider_apart_than_the_largest_double():
+    svg = line_chart("huge", "x", "y", [("y", [0.0, 1.0], [0.0, 1.7e308])])
+    assert svg.endswith("</svg>\n") and svg.count('text-anchor="end"') >= 2
+
+
 @pytest.mark.parametrize(
     "xs, ys",
     [

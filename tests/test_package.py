@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "feasible_to_search", "myopic_boundary", "posterior_feasible", "search_upper_bound",
     "ConvergenceError", "SolverConfig", "backward_induction",
     "bellman_rhs", "continuation_inequality_check", "euler_residual", "frontier_sequence",
-    "value_iteration", "optimal_path",
+    "value_iteration", "optimal_path", "truncated_path",
     "Assignment", "BudgetExceededError", "DiscreteInstance", "best_assignment_report",
     "compare_with_continuous", "evaluate_assignment", "evaluate_assignment_recursive",
     "structure_check",
