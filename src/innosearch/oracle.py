@@ -11,10 +11,11 @@ best_assignment_report enumerates every one of the (T+1)^N assignments,
 with no pruning and no dynamic-programming shortcut, so it is usable as an
 independent check on the continuum solver. The only concession to speed is
 shared arithmetic: assignments are split into a high-slot half and a
-low-slot half, per-half mass and cost profiles are tabulated once, and the
-cross terms between halves reduce to two matrix products evaluated in
-blocks of BLOCK_ELEMENTS assignments. Every assignment still gets its exact
-value, with the same bits at any block size.
+low-slot half, per-half mass and cost profiles are tabulated once, and each
+block of BLOCK_ELEMENTS assignments is one matrix product of a high-half
+row table with a low-half column table, which sums both halves' own
+payoffs and the cross terms between them into one buffer. Every assignment
+still gets its exact value, with the same bits at any block size.
 
 Assignments are ordered by their mixed-radix code with slot 0 most
 significant, so numeric order coincides with lexicographic order of the
@@ -28,7 +29,6 @@ exact to a few ulps, so the comparison measures the slots alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -37,8 +37,14 @@ import numpy as np
 
 from .model import DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, cost_integral
 
-# assignments per enumeration block: two float64 buffers of this size stay in L2
+# assignments per enumeration block: one float64 buffer of this size stays in L2
 BLOCK_ELEMENTS = 1 << 16
+
+# own payoff of a pattern that searches an infinite-cost slot: -inf would form
+# -inf * 0 inside the matrix product, while this floor stays finite next to any
+# other finite term; the empty schedule is worth exactly 0, so while v and the
+# finite costs stay far below the floor's size no floored value can win or tie
+_OWN_FLOOR = -np.finfo(float).max / 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,22 +205,23 @@ def evaluate_assignment_recursive(instance: DiscreteInstance, assignment: Assign
 def _half_tables(instance: DiscreteInstance, slot_idx: np.ndarray):
     """Tabulate per-pattern period profiles for one half of the slots.
 
-    Returns (patterns, own_value, cost_disc, prior_mass) where own_value is
-    the half's payoff ignoring the other half, cost_disc[t] is
-    delta^(t-1) K_t and prior_mass[t] is M_{t-1}. Infinite costs enter the
-    cost tables as 0, which keeps the matrix arithmetic free of inf * 0, and
-    a pattern that schedules such a slot gets own_value -inf, which no
-    finite cross term can lift.
+    Returns (patterns, own_value, cost_disc, prior_mass) where patterns
+    lists every digit vector of the half in mixed-radix order, first slot
+    most significant, own_value is the half's payoff ignoring the other
+    half, cost_disc[t] is delta^(t-1) K_t and prior_mass[t] is M_{t-1}.
+    Infinite costs enter the cost tables as 0, which keeps the matrix
+    arithmetic free of inf * 0, and a pattern that schedules such a slot gets
+    own_value _OWN_FLOOR, far below anything a finite pattern can reach.
     """
     T = instance.horizon
     mass = 1.0 / instance.slots
     m_half = len(slot_idx)
-    # the row count is explicit: reshape cannot infer it for an empty half (m_half = 0)
-    patterns = np.array(
-        list(itertools.product(range(T + 1), repeat=m_half)), dtype=np.int8
-    ).reshape((T + 1) ** m_half, m_half)
-    R = patterns.shape[0]
-    costs = instance.slot_costs[slot_idx] if m_half else np.zeros(0)
+    R = (T + 1) ** m_half
+    patterns = np.empty((R, m_half), dtype=np.int8)
+    rest = np.arange(R)
+    for j in range(m_half - 1, -1, -1):
+        rest, patterns[:, j] = np.divmod(rest, T + 1)
+    costs = instance.slot_costs[slot_idx]
     infinite = ~np.isfinite(costs)
     finite_costs = np.where(infinite, 0.0, costs)
     disc = instance.delta ** np.arange(T)
@@ -227,7 +234,7 @@ def _half_tables(instance: DiscreteInstance, slot_idx: np.ndarray):
         K[:, t - 1] = sel @ finite_costs
     prior = np.concatenate((np.zeros((R, 1)), np.cumsum(masses, axis=1)[:, :-1]), axis=1)
     own = (disc * (instance.p * instance.v * masses - (1.0 - instance.p * prior) * K)).sum(axis=1)
-    own[(patterns[:, infinite] > 0).any(axis=1)] = -math.inf
+    own[(patterns[:, infinite] > 0).any(axis=1)] = _OWN_FLOOR
     return patterns, own, disc * K, prior
 
 
@@ -240,10 +247,14 @@ def best_assignment_report(
     `budget` evaluations. Ties are counted at exact float equality; the
     returned maximizer is the lexicographically earliest.
 
-    Blocks of whole high-half rows, BLOCK_ELEMENTS assignments or one row if
-    a row is longer, are computed in place in two buffers allocated once, so
-    working memory is two blocks of doubles whatever the slot count. A block
-    whose maximum falls below the best so far needs no comparison pass.
+    The payoff of high pattern i with low pattern j is the product of row i
+    of [p Kd_hi, p prior_hi, own_hi, 1] with column j of
+    [prior_lo; Kd_lo; 1; own_lo]: both halves' own payoffs plus the cross
+    terms p (Kd_hi . prior_lo + prior_hi . Kd_lo). Blocks of whole high-half
+    rows, BLOCK_ELEMENTS assignments or one row if a row is longer, are
+    computed in one buffer allocated once, so working memory is one block of
+    doubles whatever the slot count. A block whose maximum falls below the
+    best so far needs no comparison pass.
     """
     N = instance.slots
     T = instance.horizon
@@ -255,23 +266,25 @@ def best_assignment_report(
     pat_hi, own_hi, Kd_hi, prior_hi = _half_tables(instance, np.arange(n_hi))
     pat_lo, own_lo, Kd_lo, prior_lo = _half_tables(instance, np.arange(n_hi, N))
     R_hi, R_lo = pat_hi.shape[0], pat_lo.shape[0]
+    p = instance.p
+    # numpy sends a one-row product to gemv, whose bits differ from gemm's, so
+    # every product takes two rows or more: a zero row below the table pads the
+    # last block, and only the block's own rows enter the comparison
+    row_table = np.zeros((R_hi + 1, 2 * T + 2))
+    row_table[:R_hi] = np.column_stack((p * Kd_hi, p * prior_hi, own_hi, np.ones(R_hi)))
+    col_table = np.vstack((prior_lo.T, Kd_lo.T, np.ones(R_lo), own_lo))
     rows = min(R_hi, max(1, BLOCK_ELEMENTS // R_lo))
-    buf, tmp_buf = np.empty((rows, R_lo)), np.empty((rows, R_lo))
+    buf = np.empty((max(rows, 2), R_lo))
     best = -math.inf
     best_code = 0
     ties = 0
-    p = instance.p
     for i0 in range(0, R_hi, rows):
         i1 = min(i0 + rows, R_hi)
-        block, tmp = buf[: i1 - i0], tmp_buf[: i1 - i0]
-        np.matmul(Kd_hi[i0:i1], prior_lo.T, out=block)
-        np.matmul(prior_hi[i0:i1], Kd_lo.T, out=tmp)
-        block += tmp
-        block *= p
-        np.add(own_hi[i0:i1, None], own_lo[None, :], out=tmp)
-        block += tmp
+        width = max(i1 - i0, 2)
+        np.matmul(row_table[i0 : i0 + width], col_table, out=buf[:width])
+        block = buf[: i1 - i0]
         bmax = float(block.max())
-        if bmax == -math.inf or bmax < best:
+        if bmax < best:
             continue
         at_max = block == bmax
         if bmax > best:

@@ -553,6 +553,21 @@ def test_oracle_single_slot(tmp_path):
     assert len(read_json(out, "oracle")["schedule"]) == 1
 
 
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+def test_oracle_at_the_largest_scale(tmp_path, family):
+    # slot costs near 1e295, and the reciprocal family's last slot costs +inf: the
+    # enumeration must neither overflow nor form inf * 0, which warn (errors here)
+    out = str(tmp_path / "run")
+    argv = ["oracle", "--k", "1e295", "--v", "1e296", "--cost-family", family,
+            "--slots", "8", "--horizon", "3", "--out", out]
+    assert main(argv) == EXIT_OK
+    payload = read_json(out, "oracle")
+    assert payload["evaluations"] == 4**8
+    assert payload["tie_count"] == 1
+    assert 1e295 < payload["value"] < 1e296
+    assert all(payload["structure"].values())
+
+
 def test_integer_flag_takes_float_spelling(tmp_path):
     out = str(tmp_path / "run")
     argv = ["oracle", "--slots", "1e1", "--horizon", "1", "--grid-size", "64", "--out", out]

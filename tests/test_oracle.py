@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ def brute_force(instance):
         elif value == best:
             ties += 1
     return best, best_schedule, ties
+
+
+def exact_payoff(instance, schedule):
+    """The payoff of schedule in rational arithmetic on the instance's double inputs,
+    and the discounted sum of its terms' magnitudes, which sets the rounding scale."""
+    p, v, delta = Fraction(instance.p), Fraction(instance.v), Fraction(instance.delta)
+    mass = Fraction(1, instance.slots)
+    prior = total = magnitude = Fraction(0)
+    for t in range(1, instance.horizon + 1):
+        searched = [i for i, d in enumerate(schedule) if d == t]
+        m = mass * len(searched)
+        K = sum((Fraction(float(instance.slot_costs[i])) for i in searched), Fraction(0))
+        total += delta ** (t - 1) * (p * m * v - (1 - p * prior) * K)
+        magnitude += delta ** (t - 1) * (p * m * v + K)
+        prior += m
+    return total, magnitude
 
 
 # ---------------------------------------------------------------- evaluation
@@ -175,8 +192,9 @@ def test_blocked_enumeration_matches_product_loop(monkeypatch, block_elements):
         )
     # one slot: the high half of the split is empty
     instances += [DiscreteInstance(0.5, 2.0, 0.9, horizon, (0.3,)) for horizon in (1, 2)]
-    # an infinite last slot, as in the reciprocal family's last cell; (inf,) alone leaves
-    # the high half empty and every searching pattern of the low half at -inf
+    # an infinite last slot, as in the reciprocal family's last cell; (inf,) alone, the
+    # family's one-slot instance, leaves the high half empty and every searching pattern
+    # of the low half at the floor
     instances += [
         DiscreteInstance(0.5, 2.0, 0.9, horizon, costs + (math.inf,))
         for horizon in (1, 2)
@@ -214,8 +232,65 @@ def test_exact_tie_is_counted(monkeypatch, block_elements):
     assert report.assignment.schedule == (1, 0, 0, 0)
 
 
+@pytest.mark.parametrize("horizon, m_half", [(1, 0), (2, 1), (1, 3), (3, 6)])
+def test_half_table_rows_follow_product_order(horizon, m_half):
+    instance = DiscreteInstance(0.5, 2.0, 0.9, horizon, tuple(0.1 * (i + 1) for i in range(max(m_half, 1))))
+    patterns = oracle._half_tables(instance, np.arange(m_half))[0]
+    expected = list(itertools.product(range(horizon + 1), repeat=m_half))
+    assert patterns.shape == ((horizon + 1) ** m_half, m_half)
+    assert [tuple(row) for row in patterns.tolist()] == expected
+
+
+@pytest.mark.parametrize("block_elements", [1, 3 * 1024 + 1, oracle.BLOCK_ELEMENTS, 1 << 20],
+                         ids=["block1", "lastrow1", "default", "whole"])
+def test_block_size_keeps_the_bits(monkeypatch, block_elements):
+    # 10 slots, 3 periods: 1024 high-half rows, and at 3 * 1024 + 1 elements the last
+    # block has one row; numpy would hand a lone one-row product to gemv, which rounds
+    # differently from gemm (on the canonical logarithmic instance, at the maximizer)
+    instances = [
+        ModelParams(
+            0.4044292641515822, 3.5925186033933345, 0.8314898925414608,
+            CostModel.logarithmic(0.052775599042326926, 1.6342668499397126),
+        ),
+        ModelParams(0.5, 2.0, 0.9, CostModel.logarithmic(0.1, 1.0)),
+    ]
+    default = oracle.BLOCK_ELEMENTS
+    for params in instances:
+        instance = DiscreteInstance.from_params(params, 10, 3)
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", default)
+        reference = best_assignment_report(instance)
+        monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", block_elements)
+        report = best_assignment_report(instance)
+        assert float.hex(report.value) == float.hex(reference.value)
+        assert report.assignment.schedule == reference.assignment.schedule == (1, 1, 1, 1, 2, 2, 3, 0, 0, 0)
+        assert report.tie_count == reference.tie_count == 1
+        assert report.evaluations == 4**10
+
+
+def test_value_matches_the_exact_payoff():
+    # four ulps of the terms' magnitude: where the best value is a small difference of
+    # large terms, its error in ulps of the value itself grows with the cancellation
+    rng = np.random.default_rng(37)
+    instances = []
+    for trial in range(30):
+        n = int(rng.integers(4, 11))
+        horizon = int(rng.integers(1, 4))
+        p, v, delta = float(rng.uniform(0.2, 0.8)), float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.5, 0.95))
+        if trial % 3 == 0:
+            costs = tuple(np.cumsum(rng.uniform(0.01, 0.5, size=n)))
+            instances.append(DiscreteInstance(p, v, delta, horizon, costs))
+        else:
+            family = CostModel.reciprocal if trial % 3 == 1 else CostModel.logarithmic
+            cost = family(float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.5, 2.0)))
+            instances.append(DiscreteInstance.from_params(ModelParams(p, v, delta, cost), n, horizon))
+    for instance in instances:
+        report = best_assignment_report(instance)
+        exact, magnitude = exact_payoff(instance, report.assignment.schedule)
+        assert abs(Fraction(report.value) - exact) <= 4 * Fraction(math.ulp(float(magnitude)))
+
+
 def test_enumeration_memory_is_bounded():
-    # 4^10 assignments; the block buffers, not the assignment count, set the peak
+    # 4^10 assignments; the tables and the block buffer, not the assignment count, set the peak
     instance = DiscreteInstance.from_params(CANONICAL, 10, 3)
     tracemalloc.start()
     try:
