@@ -61,7 +61,6 @@ to the last double.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -72,6 +71,7 @@ from .model import (
     CostFamily,
     ModelParams,
     OutOfRangeError,
+    _bisect_increasing,
     _density_slope,
     _interval_cost,
     _limit_candidates,
@@ -122,7 +122,7 @@ def _gap_kernels(params: ModelParams, a: float) -> Tuple[Callable, Callable]:
     """(c(a - e), c(a) - c(a - e)) as functions of the gap e, in closed form.
 
     With w = 1 - a, both keep the relative precision of e. The interval cost
-    C(a - e1, a - e2) is model._interval_cost at (e1 - e2, w + e1, w + e2).
+    C(a - e1, a - e2) is model._interval_cost at (a - e1, e1 - e2, w + e1, w + e2).
     """
     c0, k = params.cost.c0, params.cost.k
     w = 1.0 - a
@@ -178,7 +178,7 @@ def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Calla
 
     def back(e, e_next):
         c = density(e)
-        cost = interval(e - e_next, w + e, w + e_next)
+        cost = interval(a - e, e - e_next, w + e, w + e_next)
         return delta * e + (delta * p * cost + (1.0 - delta) * (pa * drop(e) + excess)) / (p * c)
 
     def last(e):
@@ -186,15 +186,18 @@ def _stepper(params: ModelParams, a: float, edge: bool) -> Tuple[Callable, Calla
         return (pa * drop(e) + excess) / (p * density(e))
 
     def term(e_prev, e_now):
-        return p * (e_prev - e_now) * v - (pa + p * e_prev) * interval(e_prev - e_now, w + e_prev, w + e_now)
+        d = e_prev - e_now
+        return p * d * v - (pa + p * e_prev) * interval(a - e_prev, d, w + e_prev, w + e_now)
 
     return back, last, term, lam
 
 
-def _orbit(back: Callable, lam: float, a: float, e_start: float, steps=None) -> List[float]:
-    """Gaps e_{T+1}, e_T = e_start, e_{T-1}, ..., backwards: `steps` steps, or until l <= 0."""
-    es = [lam * e_start, e_start]
-    while es[-1] < a if steps is None else len(es) - 2 < steps:
+def _orbit(back: Callable, a: float, es: List[float], steps: int = MAX_STEPS) -> List[float]:
+    """The gaps es = [e_{T+1}, e_T] stepped back to e_{T-1}, e_{T-2}, ...: `steps` steps, or until
+    l <= 0. Raises _Unreachable where the orbit turns back, ConvergenceError past MAX_STEPS."""
+    for _ in range(steps):
+        if not es[-1] < a:
+            break
         if len(es) > MAX_STEPS:
             raise ConvergenceError(f"no orbit reaches l = 0 within {MAX_STEPS} periods of the limit {a!r}")
         es.append(back(es[-1], es[-2]))
@@ -206,16 +209,15 @@ def _orbit(back: Callable, lam: float, a: float, e_start: float, steps=None) -> 
 def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float], float]:
     """(W(0), gaps e_0 = a, e_1 .. e_{T+1} to the limit a, lambda) of the optimal path converging to a."""
     back, _, term, lam = _stepper(params, a, edge)
-    orbit = functools.partial(_orbit, back, lam, a)
     # hi's orbit first reaches l <= 0 after `steps` steps; lo's is hi's a period
     # later (exactly at the edge, up to the linearization at a crossing), so its
     # l after as many steps is still positive
     hi = back(0.0, 0.0) if edge else START_GAP * min(a, 1.0 - a)
     for _ in range(MAX_SHOTS):
-        best = orbit(hi)
+        best = _orbit(back, a, [lam * hi, hi])
         steps = len(best) - 2
         lo = lam * hi
-        low = orbit(lo, steps)
+        low = _orbit(back, a, [lam * lo, lo], steps)
         if low[-1] < a:
             break
         hi = lo
@@ -234,7 +236,7 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
             if l_lo < -l_hi:
                 best = low
             break
-        trial = orbit(x, steps)
+        trial = _orbit(back, a, [lam * x, x], steps)
         lx = a - trial[-1]
         if lx > 0.0:
             lo, low, l_lo, w_lo = x, trial, lx, lx
@@ -263,10 +265,10 @@ def _payoff(params: ModelParams, gaps: List[float], lam: float, term: Callable) 
         disc *= delta
         prev = e
     # the linearized tail; each term is below p v e disc, so stop once that is negligible
-    total = math.fsum(terms)
+    pv, stop = p * v, 1e-18 * abs(math.fsum(terms))
     for _ in range(MAX_STEPS):
         nxt = lam * prev
-        if p * v * prev * disc <= 1e-18 * abs(total) or nxt == prev:
+        if pv * prev * disc <= stop or nxt == prev:
             break
         terms.append(disc * term(prev, nxt))
         disc *= delta
@@ -348,52 +350,41 @@ def _shoot_truncated(params: ModelParams, a: float, edge: bool, floor: float, ho
     to the last double: its last gap lies below the least normal double.
     """
     back, last, term, _ = _stepper(params, a, edge)
-
-    def reverse(es):
-        """(whether the path is too high, es): the gaps es = [e_T, e_{T-1}] stepped back to
-        e_0, or until l <= 0 (too low); None, and too high, when the path turns back."""
-        while True:
-            if es[-1] <= es[-2]:
-                return True, None
-            if len(es) > horizon or es[-1] >= a:
-                return es[-1] < a, es
-            if len(es) > MAX_STEPS:
-                raise ConvergenceError(f"no path of {horizon} periods to l = 0 within {MAX_STEPS} periods of {a!r}")
-            es.append(back(es[-1], es[-2]))
-
-    def bisect(shot, lo, hi):
-        """The gaps e_0 = a .. e_T of shot's root in (lo, hi), to adjacent doubles: None when
-        shot(lo) is too low; hi, where l_{T-1} would be 0 or the path turns back, counts as too low."""
-        high, low = shot(lo), None
-        if not high[0]:
-            return None
-        while True:
-            # geometric steps while the bracket spans orders of magnitude, then halving
-            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            trial = shot(mid)
-            if trial[0]:
-                lo, high = mid, trial
-            else:
-                hi, low = mid, trial
-        # a root only where l_0 changes sign between two whole paths: not at a turn-back or an early l <= 0
-        if high[1] is None or low is None or len(high[1]) <= horizon or len(low[1]) <= horizon:
-            raise _Unreachable(a)
-        above, below = high[1], low[1]
-        gaps = (above if a - above[-1] < below[-1] - a else below)[::-1]
-        gaps[0] = a  # l_0 = 0
-        return gaps
-
     # l_T below a, with l_{T-1} from the last period's condition; at the edge also l_T = a,
     # with e_{T-1} below that condition's gap at a, and so on back to earlier periods (_shoot)
-    families = [(lambda e: reverse([e, last(e)]), a - floor)]
+    families = [(lambda e: [e, last(e)], a - floor)]
     if edge:
-        families.append((lambda e: reverse([0.0, e]), last(0.0)))
-    for shot, top in families:
-        gaps = bisect(shot, MIN_GAP, top)
-        if gaps is not None:
-            return _payoff(params, gaps, 1.0, term), gaps, 1.0
+        families.append((lambda e: [0.0, e], last(0.0)))
+    for start, top in families:
+
+        def path(e):
+            """The gaps e_T, e_{T-1} = start(e) stepped back to e_0, or until l <= 0."""
+            es = start(e)
+            if es[1] <= es[0]:
+                raise _Unreachable(a)
+            return _orbit(back, a, es, horizon - 1)
+
+        def low(e):
+            """1 where the path reaches l <= 0 (too low), and at top, which is not shot;
+            0 where it keeps l_0 > 0 or turns back (too high)."""
+            try:
+                return 0.0 if e < top and path(e)[-1] < a else 1.0
+            except _Unreachable:
+                return 0.0
+
+        if low(MIN_GAP):
+            continue
+        lo = _bisect_increasing(low, MIN_GAP, top)
+        hi = math.nextafter(lo, top)
+        if hi == top:
+            raise _Unreachable(a)
+        above, below = path(lo), path(hi)
+        # a root only where l_0 changes sign between two whole paths: not at an early l <= 0
+        if len(above) <= horizon or len(below) <= horizon:
+            raise _Unreachable(a)
+        gaps = (above if a - above[-1] < below[-1] - a else below)[::-1]
+        gaps[0] = a  # l_0 = 0
+        return _payoff(params, gaps, 1.0, term), gaps, 1.0
     return _shoot(params, a, edge)
 
 
@@ -451,7 +442,7 @@ def value_table(params: ModelParams, shot: ShootingSolution) -> Tuple[Tuple[floa
     for i, start in enumerate(starts):
         # the shot orbit keeps its l_0 = 0, any other drops its step past l = 0 or, turning back, gives no rows
         try:
-            es = list(shot.orbit[::-1]) if i == 0 else _orbit(back, lam, a, start)[:-1]
+            es = list(shot.orbit[::-1]) if i == 0 else _orbit(back, a, [lam * start, start])[:-1]
         except _Unreachable:
             continue
         u = _payoff(params, es[1::-1], lam, term)

@@ -19,9 +19,10 @@ c(j) -> inf as j -> 1:
     logarithmic    c(j) = c0 - k * log(1 - j)
 
 Interval costs are closed forms in the interval's width and the complements
-1 - a, 1 - b (_interval_cost), so no quadrature is needed anywhere in the
-package and a narrow interval keeps its digits. The reciprocal density is
-not integrable up to 1; the logarithmic one is.
+1 - a, 1 - b, or near j = 0 a series with no negative term (_interval_cost),
+so no quadrature is needed anywhere in the package and a narrow interval
+keeps its digits. The reciprocal density is not integrable up to 1; the
+logarithmic one is.
 """
 
 from __future__ import annotations
@@ -171,12 +172,12 @@ def cost_integral(cost: CostModel, a: ArrayLike, b: ArrayLike) -> ArrayLike:
     """Cost of searching the interval [a, b), in closed form in its width (_interval_cost).
 
     Requires 0 <= a <= b < 1 elementwise. Zero-width intervals cost exactly 0,
-    and however narrow the interval, its error is a few ulps of (c0 + k)(b - a).
+    and however narrow the interval or near 0, its error is a few ulps of the cost.
     """
     scalar, (a, b) = _operands(a, b)
     if _any(a < 0.0) or _any(b < a) or _any(b >= 1.0):
         raise ValueError("interval endpoints must satisfy 0 <= a <= b < 1")
-    return _ret(scalar, _interval_cost(cost, _lib(a))(b - a, 1.0 - a, 1.0 - b))
+    return _ret(scalar, _interval_cost(cost, _lib(a))(a, b - a, 1.0 - a, 1.0 - b))
 
 
 def _density_slope(cost: CostModel, x: ArrayLike) -> ArrayLike:
@@ -189,22 +190,58 @@ def _density_slope(cost: CostModel, x: ArrayLike) -> ArrayLike:
     return cost.k / (1.0 - x)
 
 
-def _interval_cost(cost: CostModel, lib=math) -> Callable[[ArrayLike, ArrayLike, ArrayLike], ArrayLike]:
-    """interval(d, wa, wb) = C(a, b), unchecked, in the width d = b - a and the complements
-    wa = 1 - a, wb = 1 - b, with lib's log and log1p (math for floats, numpy for arrays).
+def _interval_cost(cost: CostModel, lib=math) -> Callable[[ArrayLike, ArrayLike, ArrayLike, ArrayLike], ArrayLike]:
+    """interval(a, d, wa, wb) = C(a, b), unchecked, in the lower end a, the width d = b - a
+    and the complements wa = 1 - a, wb = 1 - b, with lib's log and log1p (math for floats,
+    numpy for arrays).
 
-    Callers guarantee 0 <= a <= b < 1. Every term is a multiple of d or a log1p
-    of d / wb, so the result is exactly 0 at d = 0 and no two endpoint values
-    cancel: however narrow the interval, its error is a few ulps of (c0 + k) d.
-    c0 d is added last, so that a grid's rows never hold it next to the log1p's
-    temporaries; addition commutes, so the bits are the same.
+    Callers guarantee 0 <= a <= b < 1. Where b >= 1/8 every term is a multiple of d or a
+    log1p of d / wb: exactly 0 at d = 0, and within a few ulps of (c0 + k) d, which is
+    at most 16 times the cost. Where b < 1/8 those terms would cancel down to the cost,
+    about c(b) d, so it is c(a) d + k K(z) instead, with z = d / wa < 1/7 and K a power
+    series with no negative term: exactly 0 at d = 0, and within a few ulps of the cost
+    however near 0 the interval lies. c0 d is added last, so that a grid's rows never
+    hold it next to the log1p's temporaries; addition commutes, so the bits are the same.
     """
     c0, k = cost.c0, cost.k
-    if cost.family is CostFamily.RECIPROCAL:
-        # integral of j/(1-j) on [a, b) is log(wa / wb) - d
-        return lambda d, wa, wb: k * (lib.log1p(d / wb) - d) + c0 * d
-    # integral of -log(1-j) on [a, b) is wb log(wb) - wa log(wa) + d = d (1 - log wa) - wb log(wa / wb)
-    return lambda d, wa, wb: k * (d * (1.0 - lib.log(wa)) - wb * lib.log1p(d / wb)) + c0 * d
+    reciprocal, floats = cost.family is CostFamily.RECIPROCAL, lib is math
+
+    def series(a, d, wa):
+        # K = sum_{n>=2} z^n / n for j/(1-j), wa sum_{n>=2} z^n / (n (n - 1)) for -log(1-j);
+        # past the last term taken the rest is below 1/6 of it
+        z = d / wa
+        power, total, n = z * z, 0.0, 2
+        while True:
+            term = power / (n if reciprocal else n * (n - 1))
+            total = total + term
+            if not _any(term > 1e-17 * total):
+                break
+            power, n = power * z, n + 1
+        if reciprocal:
+            return k * (a / wa * d + total) + c0 * d
+        return k * (wa * total - lib.log1p(-a) * d) + c0 * d
+
+    def interval(a, d, wa, wb):
+        # one comparison, b < 1/8, for floats; arrays take the series in masked below
+        if floats and wb > 0.875:
+            return series(a, d, wa)
+        if reciprocal:
+            # integral of j/(1-j) on [a, b) is log(wa / wb) - d
+            return k * (lib.log1p(d / wb) - d) + c0 * d
+        # integral of -log(1-j) on [a, b) is wb log(wb) - wa log(wa) + d = d (1 - log wa) - wb log(wa / wb)
+        return k * (d * (1.0 - lib.log(wa)) - wb * lib.log1p(d / wb)) + c0 * d
+
+    if floats:
+        return interval
+
+    def masked(a, d, wa, wb):
+        out = lib.asarray(interval(a, d, wa, wb))
+        near = lib.broadcast_to(wb > 0.875, out.shape)
+        if near.any():
+            out[near] = series(*(lib.broadcast_to(x, out.shape)[near] for x in (a, d, wa)))
+        return out
+
+    return masked
 
 
 def posterior_feasible(params: ModelParams, l: ArrayLike) -> ArrayLike:
@@ -224,12 +261,13 @@ def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> flo
     """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi), to adjacent doubles.
 
     Bisects until hi is the next double above lo, keeping f(lo) <= 0 <= f(hi),
-    and returns lo.
+    and returns lo. While the bracket spans orders of magnitude (hi > 2 lo > 0)
+    the midpoint is geometric, so a root far below hi takes tens of steps, not a thousand.
     """
     if f(lo) > 0.0 or f(hi) < 0.0:
         raise ValueError("bisection bracket does not straddle a root")
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo > 0.0 else 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo
         if f(mid) <= 0.0:

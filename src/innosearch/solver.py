@@ -194,7 +194,7 @@ def _row_objective(params: ModelParams, l: np.ndarray, nodes: np.ndarray, values
     interval = _interval_cost(params.cost, np)
 
     def objective(x):
-        r, d = _rhs_terms(params, l, x, denom, interval(x - l, wl, 1.0 - x))
+        r, d = _rhs_terms(params, l, x, denom, interval(l, x - l, wl, 1.0 - x))
         return r + d * np.interp(x, nodes, values)
 
     return objective

@@ -1,10 +1,11 @@
 import json
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from innosearch import (
@@ -182,6 +183,37 @@ def test_a_nan_orbit_is_a_convergence_error(monkeypatch, time_limit):
         optimal_path(ModelParams(0.5, 2.0, 0.9, CostModel.reciprocal(0.0, 1.0)), 10)
 
 
+def decimal_payoff(params, path):
+    """The discounted payoff of the path's doubles, in 50-digit decimals with the exact interval costs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p, v, delta, c0, k = (Decimal(z) for z in (params.p, params.v, params.delta, params.cost.c0, params.cost.k))
+        total, disc = Decimal(0), Decimal(1)
+        for a, b in zip(map(Decimal, path), map(Decimal, path[1:])):
+            d, wa, wb = b - a, 1 - a, 1 - b
+            if params.cost.family.value == "reciprocal":
+                cost = c0 * d + k * ((wa / wb).ln() - d)
+            else:
+                cost = c0 * d + k * (wb * wb.ln() - wa * wa.ln() + d)
+            total += disc * (p * d * v - (1 - p * a) * cost)
+            disc *= delta
+        return total
+
+
+@pytest.mark.parametrize("share", [0.0, 1e-3])
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+def test_value_keeps_its_digits_on_a_path_near_zero(family, share):
+    # q* from 3e-3 down to 3e-8, c0 = share v: every interval of the path lies near j = 0
+    for n in range(3, 9):
+        q = 3.0 * 10.0**-n
+        x = q / (1.0 - q) if family == "reciprocal" else -math.log1p(-q)
+        v = x / (0.5 - share)
+        params = ModelParams(0.5, v, 0.9, CostModel(family, share * v, 1.0))
+        shot = optimal_path(params, 1000)
+        exact = decimal_payoff(params, shot.path)
+        assert abs(Decimal(shot.value) - exact) <= Decimal(2e-15) * exact, q
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(["reciprocal", "logarithmic"]),
@@ -306,6 +338,8 @@ def test_long_truncation_is_the_infinite_path():
     c0=st.floats(0.0, 1.0),
     k=st.floats(0.1, 5.0),
 )
+# l_1 = 0.0167: an interval cost that loses its digits near j = 0 puts W_3 above W_5 here
+@example(family="reciprocal", p=0.0546875, v=0.28125, delta=0.375, c0=0.0, k=1.0)
 def test_truncated_paths_over_the_domain(family, p, v, delta, c0, k):
     params = ModelParams(p, v, delta, CostModel(family, c0, k))
     assume(feasible_to_search(params))

@@ -19,7 +19,7 @@ from innosearch import (
     posterior_feasible,
     search_upper_bound,
 )
-from innosearch.model import BISECT_EDGE, OutOfRangeError, _limit_candidates
+from innosearch.model import BISECT_EDGE, OutOfRangeError, _bisect_increasing, _limit_candidates
 from innosearch.solver import _rhs_terms
 
 REC = CostModel.reciprocal(0.0, 1.0)
@@ -116,6 +116,19 @@ def test_integral_keeps_relative_precision(cost):
         exact = exact_integral(cost, x, y)
         for value in (cost_integral(cost, x, y), float(got)):
             assert abs(Decimal(value) - exact) <= Decimal(1e-14) * exact, (x, y)
+
+
+@pytest.mark.parametrize("c0", [0.0, 1e-3])
+@pytest.mark.parametrize("family", ["reciprocal", "logarithmic"])
+def test_integral_near_zero_keeps_relative_precision(family, c0):
+    # near j = 0 the density is far below k, so terms of size k (b - a) would cancel down to the cost
+    cost = CostModel(family, c0, 1.0)
+    ends = [(x, y) for b in (10.0**-n for n in range(2, 13)) for x, y in ((0.0, b), (b, 2.0 * b))]
+    a, b = map(np.array, zip(*ends))
+    for x, y, got in zip(a, b, cost_integral(cost, a, b)):
+        exact = exact_integral(cost, x, y)
+        for value in (cost_integral(cost, float(x), float(y)), float(got)):
+            assert abs(Decimal(value) - exact) <= 4 * Decimal(math.ulp(value)), (x, y)
 
 
 def gauss_legendre_integral(cost, a, b, n=200):
@@ -228,6 +241,18 @@ def test_feasibility_rule():
     assert not feasible_to_search(params_with(CostModel.reciprocal(0.2, 1.0), p=0.1, v=1.0))
     # exact indifference counts as not worth starting
     assert not feasible_to_search(params_with(CostModel.reciprocal(0.2, 1.0), p=0.5, v=0.4))
+
+
+def test_bisection_takes_geometric_steps_across_orders_of_magnitude():
+    # a 0 -> 1 step at 1e-300 in [least normal double, 1]: plain halving takes 1,051 evaluations
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return 1.0 if x >= 1e-300 else 0.0
+
+    assert _bisect_increasing(step, 2.2250738585072014e-308, 1.0) == math.nextafter(1e-300, 0.0)
+    assert len(calls) <= 80
 
 
 def test_myopic_boundary_closed_forms():
