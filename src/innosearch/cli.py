@@ -56,6 +56,7 @@ from .model import (
     ConvergenceError,
     ModelParams,
     OutOfRangeError,
+    assignment_count,
     cost_integral,
     feasible_to_search,
     myopic_boundary,
@@ -310,6 +311,8 @@ def cmd_simulate(rc: RunConfig, ns: argparse.Namespace) -> int:
 def cmd_oracle(rc: RunConfig, ns: argparse.Namespace) -> int:
     _load(".oracle")
     params = rc.model_params()
+    # before the slot costs are built: a count over budget may have too many slots to hold
+    assignment_count(rc.horizon + 1, rc.slots, rc.budget)
     instance = DiscreteInstance.from_params(params, rc.slots, rc.horizon)
     report = best_assignment_report(instance, budget=rc.budget)
     schedule = [d if d > 0 else None for d in report.assignment.schedule]

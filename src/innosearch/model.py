@@ -62,14 +62,33 @@ class ConvergenceError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured assignment budget."""
+    """Enumeration of choices**slots assignments would exceed the configured budget."""
 
-    def __init__(self, total: int, budget: int):
-        super().__init__(
-            f"enumeration needs {total} assignment evaluations, budget is {budget}"
-        )
-        self.total = total
+    def __init__(self, choices: int, slots: int, budget: int):
+        # a count past 30 digits is named as a power: its digits could outgrow the
+        # interpreter's int-to-str limit, and the power itself the memory
+        count = choices**slots if slots * math.log10(choices) < 30 else f"{choices}**{slots}"
+        super().__init__(f"enumeration needs {count} assignment evaluations, budget is {budget}")
+        self.choices = choices
+        self.slots = slots
         self.budget = budget
+
+    @property
+    def total(self) -> int:
+        """The exact assignment count, choices**slots."""
+        return self.choices**self.slots
+
+
+def assignment_count(choices: int, slots: int, budget: int) -> int:
+    """choices**slots, the number of assignments of slots to choices >= 2, if it is at
+    most budget; else BudgetExceededError. The product stops once it passes the budget,
+    so the check's cost does not grow with the slot count."""
+    total = 1
+    for _ in range(slots):
+        total *= choices
+        if total > budget:
+            raise BudgetExceededError(choices, slots, budget)
+    return total
 
 
 @dataclass(frozen=True)

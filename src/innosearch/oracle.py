@@ -9,13 +9,17 @@ with period masses m_t, period costs K_t, and prior searched mass M_{t-1}:
 
 best_assignment_report enumerates every one of the (T+1)^N assignments,
 with no pruning and no dynamic-programming shortcut, so it is usable as an
-independent check on the continuum solver. The only concession to speed is
-shared arithmetic: assignments are split into a high-slot half and a
-low-slot half, per-half mass and cost profiles are tabulated once, and each
-block of BLOCK_ELEMENTS assignments is one matrix product of a high-half
-row table with a low-half column table, which sums both halves' own
-payoffs and the cross terms between them into one buffer. Every assignment
-still gets its exact value, with the same bits at any block size.
+independent check on the continuum solver. The only concessions to speed are
+shared arithmetic and one skip. Assignments are split into a high-slot half
+and a low-slot half, per-half mass and cost profiles are tabulated once, and
+each block of BLOCK_ELEMENTS assignments is one matrix product of a
+high-half row table with a low-half column table, which sums both halves'
+own payoffs and the cross terms between them into one buffer; every
+assignment evaluated gets its exact value, with the same bits at any block
+size. The skip: an assignment that searches an infinite-cost slot (the
+reciprocal family's last cell) is worth -inf, below the empty schedule's 0,
+so it can neither win nor tie and gets no product. The evaluation count and
+the budget still count all (T+1)^N.
 
 Assignments are ordered by their mixed-radix code with slot 0 most
 significant, so numeric order coincides with lexicographic order of the
@@ -35,16 +39,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, cost_integral
+from .model import DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, assignment_count, cost_integral
 
 # assignments per enumeration block: one float64 buffer of this size stays in L2
 BLOCK_ELEMENTS = 1 << 16
-
-# own payoff of a pattern that searches an infinite-cost slot: -inf would form
-# -inf * 0 inside the matrix product, while this floor stays finite next to any
-# other finite term; the empty schedule is worth exactly 0, so while v and the
-# finite costs stay far below the floor's size no floored value can win or tie
-_OWN_FLOOR = -np.finfo(float).max / 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,35 +204,34 @@ def _half_tables(instance: DiscreteInstance, slot_idx: np.ndarray):
     """Tabulate per-pattern period profiles for one half of the slots.
 
     Returns (patterns, own_value, cost_disc, prior_mass) where patterns
-    lists every digit vector of the half in mixed-radix order, first slot
+    lists the digit vectors of the half in mixed-radix order, first slot
     most significant, own_value is the half's payoff ignoring the other
     half, cost_disc[t] is delta^(t-1) K_t and prior_mass[t] is M_{t-1}.
-    Infinite costs enter the cost tables as 0, which keeps the matrix
-    arithmetic free of inf * 0, and a pattern that schedules such a slot gets
-    own_value _OWN_FLOOR, far below anything a finite pattern can reach.
+    Only the half's finite-cost slots take every digit; an infinite-cost
+    slot keeps digit 0 in every row, since searching it is worth -inf and
+    can never win. The rows are thus (T+1)^f of the (T+1)^m product rows,
+    f of the half's m slots finite, in the same order.
     """
     T = instance.horizon
     mass = 1.0 / instance.slots
-    m_half = len(slot_idx)
-    R = (T + 1) ** m_half
-    patterns = np.empty((R, m_half), dtype=np.int8)
-    rest = np.arange(R)
-    for j in range(m_half - 1, -1, -1):
-        rest, patterns[:, j] = np.divmod(rest, T + 1)
     costs = instance.slot_costs[slot_idx]
-    infinite = ~np.isfinite(costs)
-    finite_costs = np.where(infinite, 0.0, costs)
+    free = np.flatnonzero(np.isfinite(costs))
+    R = (T + 1) ** len(free)
+    patterns = np.zeros((R, len(slot_idx)), dtype=np.int8)
+    rest = np.arange(R)
+    for j in free[::-1]:
+        rest, patterns[:, j] = np.divmod(rest, T + 1)
+    free_patterns, free_costs = patterns[:, free], costs[free]
     disc = instance.delta ** np.arange(T)
 
     masses = np.zeros((R, T))
     K = np.zeros((R, T))
     for t in range(1, T + 1):
-        sel = patterns == t
+        sel = free_patterns == t
         masses[:, t - 1] = sel.sum(axis=1) * mass
-        K[:, t - 1] = sel @ finite_costs
+        K[:, t - 1] = sel @ free_costs
     prior = np.concatenate((np.zeros((R, 1)), np.cumsum(masses, axis=1)[:, :-1]), axis=1)
     own = (disc * (instance.p * instance.v * masses - (1.0 - instance.p * prior) * K)).sum(axis=1)
-    own[(patterns[:, infinite] > 0).any(axis=1)] = _OWN_FLOOR
     return patterns, own, disc * K, prior
 
 
@@ -249,18 +246,21 @@ def best_assignment_report(
 
     The payoff of high pattern i with low pattern j is the product of row i
     of [p Kd_hi, p prior_hi, own_hi, 1] with column j of
-    [prior_lo; Kd_lo; 1; own_lo]: both halves' own payoffs plus the cross
-    terms p (Kd_hi . prior_lo + prior_hi . Kd_lo). Blocks of whole high-half
-    rows, BLOCK_ELEMENTS assignments or one row if a row is longer, are
+    [prior_lo; Kd_lo; 1; own_lo], periods 2..T in the first two parts: both
+    halves' own payoffs plus the cross terms p (Kd_hi . prior_lo + prior_hi .
+    Kd_lo), whose period-1 terms are 0 because no mass precedes period 1.
+    Only patterns that leave infinite-cost slots unsearched have rows (see
+    _half_tables); the rest are worth -inf and cannot win or tie the empty
+    schedule's 0, so the products formed cover every assignment that can,
+    while `evaluations` counts all (T+1)^N. Blocks of whole high-half
+    rows, BLOCK_ELEMENTS products or one row if a row is longer, are
     computed in one buffer allocated once, so working memory is one block of
     doubles whatever the slot count. A block whose maximum falls below the
     best so far needs no comparison pass.
     """
     N = instance.slots
     T = instance.horizon
-    total = (T + 1) ** N
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    total = assignment_count(T + 1, N, budget)
 
     n_hi = N // 2
     pat_hi, own_hi, Kd_hi, prior_hi = _half_tables(instance, np.arange(n_hi))
@@ -270,9 +270,9 @@ def best_assignment_report(
     # numpy sends a one-row product to gemv, whose bits differ from gemm's, so
     # every product takes two rows or more: a zero row below the table pads the
     # last block, and only the block's own rows enter the comparison
-    row_table = np.zeros((R_hi + 1, 2 * T + 2))
-    row_table[:R_hi] = np.column_stack((p * Kd_hi, p * prior_hi, own_hi, np.ones(R_hi)))
-    col_table = np.vstack((prior_lo.T, Kd_lo.T, np.ones(R_lo), own_lo))
+    row_table = np.zeros((R_hi + 1, 2 * T))
+    row_table[:R_hi] = np.column_stack((p * Kd_hi[:, 1:], p * prior_hi[:, 1:], own_hi, np.ones(R_hi)))
+    col_table = np.vstack((prior_lo[:, 1:].T, Kd_lo[:, 1:].T, np.ones(R_lo), own_lo))
     rows = min(R_hi, max(1, BLOCK_ELEMENTS // R_lo))
     buf = np.empty((max(rows, 2), R_lo))
     best = -math.inf

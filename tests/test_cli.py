@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import xml.dom.minidom
 
 import pytest
@@ -566,6 +567,21 @@ def test_oracle_at_the_largest_scale(tmp_path, family):
     assert payload["tie_count"] == 1
     assert 1e295 < payload["value"] < 1e296
     assert all(payload["structure"].values())
+
+
+@pytest.mark.parametrize("slots, horizon, count", [
+    ("7200", "3", "4**7200"),  # more digits than an int may print
+    ("5000000", "1", "2**5000000"),  # slot costs that take 290 MB to build
+    ("1e11", "1", "2**100000000000"),  # more slot costs than memory holds
+])
+def test_oracle_budget_is_checked_before_the_slots_are_built(tmp_path, capsys, slots, horizon, count):
+    start = time.perf_counter()
+    code = main(["oracle", "--slots", slots, "--horizon", horizon, "--out", str(tmp_path / "run")])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_BUDGET
+    assert elapsed < 1.0
+    assert capsys.readouterr().err.startswith(f"budget exceeded: enumeration needs {count} assignment")
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_integer_flag_takes_float_spelling(tmp_path):

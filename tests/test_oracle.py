@@ -193,8 +193,7 @@ def test_blocked_enumeration_matches_product_loop(monkeypatch, block_elements):
     # one slot: the high half of the split is empty
     instances += [DiscreteInstance(0.5, 2.0, 0.9, horizon, (0.3,)) for horizon in (1, 2)]
     # an infinite last slot, as in the reciprocal family's last cell; (inf,) alone, the
-    # family's one-slot instance, leaves the high half empty and every searching pattern
-    # of the low half at the floor
+    # family's one-slot instance, leaves the high half empty and the low half one row
     instances += [
         DiscreteInstance(0.5, 2.0, 0.9, horizon, costs + (math.inf,))
         for horizon in (1, 2)
@@ -234,37 +233,60 @@ def test_exact_tie_is_counted(monkeypatch, block_elements):
 
 @pytest.mark.parametrize("horizon, m_half", [(1, 0), (2, 1), (1, 3), (3, 6)])
 def test_half_table_rows_follow_product_order(horizon, m_half):
-    instance = DiscreteInstance(0.5, 2.0, 0.9, horizon, tuple(0.1 * (i + 1) for i in range(max(m_half, 1))))
-    patterns = oracle._half_tables(instance, np.arange(m_half))[0]
-    expected = list(itertools.product(range(horizon + 1), repeat=m_half))
-    assert patterns.shape == ((horizon + 1) ** m_half, m_half)
-    assert [tuple(row) for row in patterns.tolist()] == expected
+    costs = tuple(0.1 * (i + 1) for i in range(max(m_half, 1)))
+    # with an infinite last slot, which is never searched: the product rows in which
+    # that slot's digit is 0
+    for infinite_last in (False, True) if m_half else (False,):
+        instance = DiscreteInstance(0.5, 2.0, 0.9, horizon, costs[:-1] + (math.inf if infinite_last else costs[-1],))
+        patterns = oracle._half_tables(instance, np.arange(m_half))[0]
+        free = m_half - infinite_last
+        expected = [d + (0,) * infinite_last for d in itertools.product(range(horizon + 1), repeat=free)]
+        assert patterns.shape == ((horizon + 1) ** free, m_half)
+        assert [tuple(row) for row in patterns.tolist()] == expected
 
 
-@pytest.mark.parametrize("block_elements", [1, 3 * 1024 + 1, oracle.BLOCK_ELEMENTS, 1 << 20],
-                         ids=["block1", "lastrow1", "default", "whole"])
+@pytest.mark.parametrize("block_elements", [1, 3 * 256 + 1, 3 * 1024 + 1, oracle.BLOCK_ELEMENTS, 1 << 20],
+                         ids=["block1", "lastrow1inf", "lastrow1", "default", "whole"])
 def test_block_size_keeps_the_bits(monkeypatch, block_elements):
-    # 10 slots, 3 periods: 1024 high-half rows, and at 3 * 1024 + 1 elements the last
-    # block has one row; numpy would hand a lone one-row product to gemv, which rounds
-    # differently from gemm (on the canonical logarithmic instance, at the maximizer)
+    # 10 slots, 3 periods: 1024 high-half rows, and 1024 low-half rows, or 256 when the
+    # last slot costs +inf; at 3 * 1024 + 1 elements (3 * 256 + 1 with the infinite slot)
+    # the last block has one row; numpy would hand a lone one-row product to gemv, which
+    # rounds differently from gemm (on the first instance, at the maximizer, when every
+    # block is one row)
     instances = [
-        ModelParams(
+        (ModelParams(
             0.4044292641515822, 3.5925186033933345, 0.8314898925414608,
             CostModel.logarithmic(0.052775599042326926, 1.6342668499397126),
-        ),
-        ModelParams(0.5, 2.0, 0.9, CostModel.logarithmic(0.1, 1.0)),
+        ), (1, 1, 1, 1, 2, 2, 3, 0, 0, 0)),
+        (ModelParams(0.5, 2.0, 0.9, CostModel.logarithmic(0.1, 1.0)), (1, 1, 1, 1, 2, 2, 3, 0, 0, 0)),
+        (CANONICAL, (1, 1, 1, 1, 2, 3, 0, 0, 0, 0)),
     ]
     default = oracle.BLOCK_ELEMENTS
-    for params in instances:
+    for params, schedule in instances:
         instance = DiscreteInstance.from_params(params, 10, 3)
         monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", default)
         reference = best_assignment_report(instance)
         monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", block_elements)
         report = best_assignment_report(instance)
         assert float.hex(report.value) == float.hex(reference.value)
-        assert report.assignment.schedule == reference.assignment.schedule == (1, 1, 1, 1, 2, 2, 3, 0, 0, 0)
+        assert report.assignment.schedule == reference.assignment.schedule == schedule
         assert report.tie_count == reference.tie_count == 1
         assert report.evaluations == 4**10
+
+
+@pytest.mark.parametrize("params, value, schedule", [
+    (CANONICAL, "0x1.4fac063e5feb5p-2", (1, 1, 1, 1, 2, 2, 3, 0, 0, 0, 0, 0)),
+    (ModelParams(0.5, 2.0, 0.9, CostModel.logarithmic(0.1, 1.0)), "0x1.63b62f9dda1efp-2",
+     (1, 1, 1, 1, 1, 2, 2, 3, 3, 0, 0, 0)),
+], ids=["reciprocal", "logarithmic"])
+def test_twelve_slots_three_periods_bits(params, value, schedule):
+    # the scale of the benchmark's and CI's oracle runs, in both families: the reciprocal
+    # one enumerates its finite slots only, the logarithmic one every slot
+    report = best_assignment_report(DiscreteInstance.from_params(params, 12, 3), budget=4**12)
+    assert float.hex(report.value) == value
+    assert report.assignment.schedule == schedule
+    assert report.tie_count == 1
+    assert report.evaluations == 16777216
 
 
 def test_value_matches_the_exact_payoff():
