@@ -34,13 +34,13 @@ finitely many periods: the orbit starts at (e_T, 0), and e_T runs over
 (0, e_max], e_max the step back from (0, 0), which is where the Kuhn-Tucker
 condition at the edge holds with equality.
 
-The start is found by a bracketed secant (Illinois) on l_0, down to
-adjacent doubles. Every candidate limit is shot, and the path with the
-largest W(0) wins: on a multi-root instance the limit may be any of the
-crossings, the cap j* or one below it. A candidate whose orbit turns back
-before l = 0, caught by a downward crossing of g below it, has no increasing
-path and is passed over, and so is one whose shooting runs out of steps while
-another candidate solves.
+The start is the root of the overshoot e_0 - a (model._increasing_root): a
+shot that lands on l_0 = 0 exactly, or the closer of two adjacent doubles.
+Every candidate limit is shot, and the path with the largest W(0) wins: on a
+multi-root instance the limit may be any of the crossings, the cap j* or one
+below it. A candidate whose orbit turns back before l = 0, caught by a
+downward crossing of g below it, has no increasing path and is passed over,
+and so is one whose shooting runs out of steps while another solves.
 
 Orbits over one fundamental domain, the shot orbit among them, pass through
 every state of [0, a] the plan visits from 0: each orbit point is a pair
@@ -71,8 +71,8 @@ from .model import (
     CostFamily,
     ModelParams,
     OutOfRangeError,
-    _bisect_increasing,
     _density_slope,
+    _increasing_root,
     _interval_cost,
     _limit_candidates,
     _marginal_excess,
@@ -84,7 +84,7 @@ from .model import (
 
 # Backward steps one orbit may take before shooting gives up.
 MAX_STEPS = 100_000
-# Orbits shot per candidate limit before shooting gives up.
+# Orbits the search for a bracket of starts shoots per candidate limit before it gives up.
 MAX_SHOTS = 200
 # Orbits start at most this fraction of min(a, 1 - a) from their limit a.
 START_GAP = 1e-4
@@ -223,33 +223,22 @@ def _shoot(params: ModelParams, a: float, edge: bool) -> Tuple[float, List[float
         hi = lo
     else:
         raise ConvergenceError(f"no bracket for l_0 = 0 was found within {MAX_SHOTS} orbits")
-    # Illinois: a secant on l after `steps` steps, its stale end's weight halved
-    l_lo, l_hi = a - low[-1], a - best[-1]
-    w_lo, w_hi, side = l_lo, l_hi, 0
-    for _ in range(MAX_SHOTS):
-        if l_hi == 0.0:
-            break
-        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            if l_lo < -l_hi:
-                best = low
-            break
-        trial = _orbit(back, a, [lam * x, x], steps)
-        lx = a - trial[-1]
-        if lx > 0.0:
-            lo, low, l_lo, w_lo = x, trial, lx, lx
-            w_hi *= 0.5 if side > 0 else 1.0
-            side = 1
-        else:
-            hi, best, l_hi, w_hi = x, trial, lx, lx
-            w_lo *= 0.5 if side < 0 else 1.0
-            side = -1
-    else:
-        raise ConvergenceError(f"shooting for l_0 = 0 did not settle within {MAX_SHOTS} orbits")
+    # the overshoot e_0 - a after `steps` steps, each orbit shot once
+    orbits = {lo: low, hi: best}
 
-    gaps = best[::-1]
+    def orbit(x):
+        if x not in orbits:
+            orbits[x] = _orbit(back, a, [lam * x, x], steps)
+        return orbits[x]
+
+    x = _increasing_root(lambda x: orbit(x)[-1] - a, lo, hi)
+    above = orbit(x)
+    return _land(params, a, above, above if above[-1] == a else orbit(math.nextafter(x, hi)), lam, term)
+
+
+def _land(params: ModelParams, a: float, above: List[float], below: List[float], lam: float, term: Callable):
+    """(W(0), gaps e_0 = a, e_1 .., lambda) of the closer to l_0 = 0 of orbits ending at l >= 0 and l <= 0."""
+    gaps = (above if a - above[-1] < below[-1] - a else below)[::-1]
     gaps[0] = a  # l_0 = 0
     return _payoff(params, gaps, lam, term), gaps, lam
 
@@ -280,10 +269,9 @@ def _best_shot(params: ModelParams, candidates: Tuple[float, ...], shoot: Callab
     """(W(0), gaps, lambda, a) of the candidate limit a whose path (W(0), gaps, lambda) =
     shoot(params, a, edge) has the largest W(0).
 
-    A candidate whose orbit turns back before l = 0 or runs out of steps is passed
-    over. Raises ConvergenceError when no candidate converges: the first such
-    error when an orbit needed more than MAX_STEPS periods or the shooting more
-    than MAX_SHOTS orbits.
+    A candidate whose orbit turns back before l = 0 or runs out of steps is passed over.
+    Raises ConvergenceError when no candidate converges: the first such error when an
+    orbit needed more than MAX_STEPS periods or its bracket search more than MAX_SHOTS orbits.
     """
     best, failures = None, []
     for a in candidates:
@@ -331,7 +319,7 @@ def optimal_path(params: ModelParams, horizon: int) -> ShootingSolution:
     horizon is below 1, OutOfRangeError when q* lies beyond the solver's
     edge or p c(a) underflows to 0 at a limit a, ConvergenceError when no
     candidate converges (the first such error when an orbit needed more than
-    MAX_STEPS periods or the shooting more than MAX_SHOTS orbits), and
+    MAX_STEPS periods or the bracket search more than MAX_SHOTS orbits), and
     MemoryError when the path's horizon + 1 floats do not fit in memory.
     """
     _validate(params, horizon)
@@ -374,7 +362,7 @@ def _shoot_truncated(params: ModelParams, a: float, edge: bool, floor: float, ho
 
         if low(MIN_GAP):
             continue
-        lo = _bisect_increasing(low, MIN_GAP, top)
+        lo = _increasing_root(low, MIN_GAP, top)
         hi = math.nextafter(lo, top)
         if hi == top:
             raise _Unreachable(a)
@@ -382,9 +370,7 @@ def _shoot_truncated(params: ModelParams, a: float, edge: bool, floor: float, ho
         # a root only where l_0 changes sign between two whole paths: not at an early l <= 0
         if len(above) <= horizon or len(below) <= horizon:
             raise _Unreachable(a)
-        gaps = (above if a - above[-1] < below[-1] - a else below)[::-1]
-        gaps[0] = a  # l_0 = 0
-        return _payoff(params, gaps, 1.0, term), gaps, 1.0
+        return _land(params, a, above, below, 1.0, term)
     return _shoot(params, a, edge)
 
 

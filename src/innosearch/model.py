@@ -28,6 +28,7 @@ logarithmic one is.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +43,8 @@ ArrayLike = Union[float, "numpy.ndarray"]
 BISECT_EDGE = 1e-12
 # Decimal digits in which the sign of g(j) = c(j)(1 - jp) - p v is decided at a root.
 EXACT_DIGITS = 40
+# Secant steps _increasing_root takes at most; then it only bisects, so it always ends.
+SECANT_STEPS = 100
 # The oracle's default assignment budget.
 DEFAULT_BUDGET = 10_000_000
 # Largest run count: numpy's multinomial takes an int64 run count.
@@ -53,8 +56,8 @@ class OutOfRangeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm
-    changes) or the reverse shooting's orbit periods or orbits (history is empty)."""
+    """A solver ran out of steps: value iteration's sweeps (history holds their sup-norm changes)
+    or the reverse shooting's orbit periods or bracket-search orbits (history is empty)."""
 
     def __init__(self, message: str, history: Sequence[float] = ()):
         super().__init__(message)
@@ -276,23 +279,34 @@ def feasible_to_search(params: ModelParams) -> bool:
     return params.p * params.v > params.cost.c0
 
 
-def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] given f(lo) <= 0 <= f(hi), to adjacent doubles.
+def _increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f on [lo, hi] given f(lo) <= 0 <= f(hi): a point where f is exactly 0 while
+    f(lo) < 0, or else lo, with f(lo) <= 0, once hi is the next double above it.
 
-    Bisects until hi is the next double above lo, keeping f(lo) <= 0 <= f(hi),
-    and returns lo. While the bracket spans orders of magnitude (hi > 2 lo > 0)
-    the midpoint is geometric, so a root far below hi takes tens of steps, not a thousand.
+    Steps are Illinois secants (Dowell and Jarratt 1971: an end kept twice running has its f
+    halved) while f(lo) < 0 < f(hi), for at most SECANT_STEPS steps; else, or off the bracket,
+    midpoints, geometric while it spans orders of magnitude (hi > 2 lo > 0): so a 0/1 step
+    function is bisected, and a root far below hi takes tens of steps, not a thousand.
     """
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        raise ValueError("bisection bracket does not straddle a root")
-    while True:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo > 0.0 else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if f(mid) <= 0.0:
-            lo = mid
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo > 0.0 or f_hi < 0.0:
+        raise ValueError("the bracket does not straddle a root")
+    if f_lo < 0.0 == f_hi:
+        return hi
+    side = 0
+    for step in itertools.count():
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) if step < SECANT_STEPS and f_lo < 0.0 < f_hi else lo
+        if not lo < x < hi:
+            x = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo > 0.0 else 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return lo
+        fx = f(x)
+        if fx == 0.0 and f_lo < 0.0:
+            return x
+        if fx <= 0.0:
+            lo, f_lo, f_hi, side = x, fx, f_hi * (0.5 if side > 0 else 1.0), 1
         else:
-            hi = mid
+            hi, f_hi, f_lo, side = x, fx, f_lo * (0.5 if side < 0 else 1.0), -1
 
 
 def myopic_boundary(params: ModelParams) -> Optional[float]:
@@ -374,7 +388,7 @@ def _settle(positive: Callable[[float], bool], root: float) -> float:
     step = math.ulp(root)
     while not positive(hi) and hi < edge:
         hi, step = min(root + step, edge), 2.0 * step
-    return _bisect_increasing(lambda j: 1.0 if positive(j) else 0.0, lo, hi)
+    return _increasing_root(lambda j: 1.0 if positive(j) else 0.0, lo, hi)
 
 
 def _limit_candidates(params: ModelParams) -> Tuple[float, ...]:
@@ -404,10 +418,10 @@ def _limit_candidates(params: ModelParams) -> Tuple[float, ...]:
 
         mid = min(max(2.0 - 1.0 / p, lo), hi)
         pieces = ((lambda j: -slope(j), lo, mid), (slope, mid, hi))
-        ends[1:1] = [_bisect_increasing(f, a, b) for f, a, b in pieces if f(a) < 0.0 < f(b)]
+        ends[1:1] = [_increasing_root(f, a, b) for f, a, b in pieces if f(a) < 0.0 < f(b)]
     positive = [g(j) > 0.0 for j in ends]
     roots = tuple(
-        _settle(lambda j: _excess_is_positive(params, j), _bisect_increasing(g, a, b))
+        _settle(lambda j: _excess_is_positive(params, j), _increasing_root(g, a, b))
         for a, b, before, after in zip(ends, ends[1:], positive, positive[1:])
         if after and not before
     )

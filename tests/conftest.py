@@ -2,6 +2,7 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from innosearch import (
     CostModel,
@@ -10,6 +11,10 @@ from innosearch import (
     frontier_sequence,
     value_iteration,
 )
+
+# Every property test draws the same examples on every run and writes no example database.
+settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Shared baseline instance: p = 1/2, prize 2, discount 0.9, reciprocal cost
 # j / (1 - j). Search is worthwhile (p v = 1 > 0 = c(0)) and the one-shot

@@ -553,7 +553,7 @@ def test_maximize_rows_is_exact_over_its_bracket(instance, grid, family, delta, 
         assert np.all(arg >= nodes) and np.all(arg <= cap)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(
     p=st.floats(0.5, 0.99),
     v=st.floats(0.5, 0.99),
