@@ -35,6 +35,11 @@ what a handler raises and lets an unlisted exception propagate. A sweep
 point takes its code from it, 2 if unlisted; a sweep exits 0 unless every
 point failed, then with their common code, or 2 if they differ.
 
+main may be called any number of times in one process. It builds the
+argument parser at its first call and shares it with every later one;
+build_parser() returns that shared parser. Nothing in the tree depends on
+argv, so a command parses and writes the same whichever calls came first.
+
 A sweep is a list of run configs, one per sweep value, each validated before
 any is solved. Its points are solved one after another in this process, in
 the order the sweep values were given, and only then are its files written.
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -131,7 +137,12 @@ def _failure(e: BaseException) -> Tuple[int, Optional[str]]:
     return EXIT_CONFIG, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every main call, built at the first call and shared: do not change it.
+
+    Help text is still formatted, and COLUMNS read, when --help is asked for.
+    """
     # RunConfig settings: strings here, parsed by load_run_config like file values
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--config", metavar="FILE", help="flat key = value config file")

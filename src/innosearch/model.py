@@ -28,6 +28,7 @@ logarithmic one is.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -378,8 +379,11 @@ def _settle(positive: Callable[[float], bool], root: float) -> float:
     Bisects from the smallest bracket about root whose ends positive
     confirms, widened in doubling steps within [0, 1 - BISECT_EDGE]. When
     positive changes sign once near root, that change is the result,
-    wherever near it root was.
+    wherever near it root was. Each double's sign is decided once, although
+    the bracket's ends are asked again by _increasing_root: in EXACT_DIGITS
+    decimals a logarithmic sign costs a Decimal.ln.
     """
+    positive = functools.cache(positive)
     edge = 1.0 - BISECT_EDGE
     lo, hi = root, math.nextafter(root, 1.0)
     step = math.ulp(root)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -382,6 +383,73 @@ def test_no_command_imports_the_grid_solver(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert os.path.isfile(tmp_path / "0" / "oracle.json")
+
+
+# run in a fresh interpreter, since this test session built the parser long ago
+NO_PARSER_SCRIPT = textwrap.dedent(
+    """
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw)
+    from innosearch import cli
+
+    assert built == [], built
+    """
+)
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(innosearch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", NO_PARSER_SCRIPT], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    out = str(tmp_path / "run")
+    assert main(["solve", "--horizon", "5", "--out", out]) == EXIT_OK
+    first = len(built)
+    assert first == 6  # the settings parent, the top parser and one per command
+    assert main(["sweep", "--param", "v", "--values", "1,2", "--horizon", "5", "--out", out]) == EXIT_OK
+    assert main(["solve", "--horizon", "0", "--out", out]) == EXIT_CONFIG
+    with pytest.raises(SystemExit):
+        main(["solve", "--no-such-flag"])
+    assert len(built) == first and build_parser() is build_parser()
+
+
+def test_a_shared_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    # commands and failures before it leave nothing behind in the shared parser
+    ran = str(tmp_path / "ran")
+    assert main(["sweep", "--param", "delta", "--values", "0.5,0.9", "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    for argv, code in ((["solve", "--no-such-flag"], EXIT_CONFIG), (["solve", "--help"], EXIT_OK)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+    assert main(["solve", "--p", "2", "--out", ran]) == EXIT_CONFIG
+    assert main(["solve", "--format", "csv,json,svg", "--out", ran]) == EXIT_OK
+    here = capsys.readouterr().out.splitlines()[-1]
+
+    fresh = str(tmp_path / "fresh")
+    src = os.path.dirname(os.path.dirname(innosearch.__file__))
+    proc = subprocess.run([sys.executable, "-m", "innosearch.cli", "solve", "--format", "csv,json,svg", "--out", fresh],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [here]
+    names = sorted(os.listdir(fresh))
+    assert len(names) == 7 and sorted(os.listdir(ran)) == names
+    for name in names:
+        assert read_bytes(os.path.join(ran, name)) == read_bytes(os.path.join(fresh, name)), name
 
 
 @pytest.mark.parametrize("command, name", [("simulate", "simulate_batch"), ("oracle", "best_assignment_report")])

@@ -19,6 +19,7 @@ from innosearch import (
     posterior_feasible,
     search_upper_bound,
 )
+from innosearch import model
 from innosearch.model import BISECT_EDGE, OutOfRangeError, _increasing_root, _limit_candidates, _marginal_excess
 from innosearch.solver import _rhs_terms
 
@@ -267,6 +268,28 @@ def test_a_smooth_root_takes_secant_steps():
     root = _increasing_root(counted, myopic_boundary(params), 0.9)
     assert root == 0.5857864376269049 and g(root) < 0.0 < g(math.nextafter(root, 1.0))
     assert len(calls) <= 13
+
+
+@pytest.mark.parametrize("params", [
+    params_with(REC),
+    params_with(LOG),
+    # two crossings each: the second near the edge, or near a tangency
+    params_with(LOG, p=0.99, v=0.20202020202020202),
+    params_with(LOG, p=0.9, v=0.50135),
+    params_with(CostModel.reciprocal(1.0, 1.0), v=2.000000000000001),
+    params_with(CostModel.logarithmic(0.1, 1.0)),
+])
+def test_limit_candidates_decide_each_double_once(params, monkeypatch):
+    # each exact sign costs EXACT_DIGITS-digit decimals, a Decimal.ln for the logarithmic family
+    real, decided = model._excess_is_positive, []
+
+    def counted(params, j):
+        decided.append(j)
+        return real(params, j)
+
+    monkeypatch.setattr(model, "_excess_is_positive", counted)
+    assert _limit_candidates(params)
+    assert decided and len(decided) == len(set(decided))
 
 
 def test_the_root_finder_ends_on_nan_and_on_a_plateau(time_limit):
