@@ -360,17 +360,25 @@ def _excess_is_positive(params: ModelParams, j: float) -> bool:
     """Whether g(j) = c(j)(1 - jp) - p v > 0, decided in EXACT_DIGITS-digit decimals.
 
     The doubles j, p, c0, k and the double p v are taken as exact, so for
-    every double j the sign is g's own, not its rounding noise's.
+    every double j the sign is g's own, not its rounding noise's. For the
+    logarithmic family, with w = 1 - j and x = p v - c0, g > 0 is
+    -log(w) > y = (x + j p c0) / (k (1 - j p)), decided as w < exp(-y): a
+    Decimal.exp costs about a third of a Decimal.ln. A small y puts exp(-y)
+    near 1, where it keeps y's digits only with as many more decimals as y
+    has leading zeros, so a y below 1 is given them.
     """
     cost = params.cost
     with decimal.localcontext() as ctx:
         ctx.prec = EXACT_DIGITS
         jd, p, c0, k = (decimal.Decimal(z) for z in (j, params.p, cost.c0, cost.k))
         x = decimal.Decimal(params.p * params.v) - c0
-        # 1 - j exactly: rounded, it would cost log(1 - j) its digits when j is tiny
+        # 1 - j exactly: rounded, it would cost a tiny j its digits
         w = decimal.Context(prec=decimal.MAX_PREC).subtract(1, jd)
-        phi = jd / w if cost.family is CostFamily.RECIPROCAL else -w.ln()
-        return k * phi * (1 - jd * p) - x - jd * p * c0 > 0
+        if cost.family is CostFamily.RECIPROCAL:
+            return k * jd / w * (1 - jd * p) - x - jd * p * c0 > 0
+        y = (x + jd * p * c0) / (k * (1 - jd * p))
+        ctx.prec += max(0, -y.adjusted())
+        return w < (-y).exp()
 
 
 def _settle(positive: Callable[[float], bool], root: float) -> float:
@@ -381,7 +389,7 @@ def _settle(positive: Callable[[float], bool], root: float) -> float:
     positive changes sign once near root, that change is the result,
     wherever near it root was. Each double's sign is decided once, although
     the bracket's ends are asked again by _increasing_root: in EXACT_DIGITS
-    decimals a logarithmic sign costs a Decimal.ln.
+    decimals a logarithmic sign costs a Decimal.exp.
     """
     positive = functools.cache(positive)
     edge = 1.0 - BISECT_EDGE

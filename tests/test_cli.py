@@ -452,6 +452,24 @@ def test_a_shared_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
         assert read_bytes(os.path.join(ran, name)) == read_bytes(os.path.join(fresh, name)), name
 
 
+@pytest.mark.parametrize("first, second", [
+    (["solve", "--horizon", "500", "--format", "csv,json,svg"], ["solve", "--format", "csv,json,svg"]),
+    (["sweep", "--param", "v", "--values", "1,2,4"], ["sweep", "--param", "v", "--values", "1,2"]),
+])
+def test_a_rerun_writes_what_a_fresh_out_gets(tmp_path, first, second):
+    # files are rewritten in place: the second run's shorter files keep no byte of the first's
+    rerun, fresh = str(tmp_path / "rerun"), str(tmp_path / "fresh")
+    assert main(first + ["--out", rerun]) == EXIT_OK
+    longer = {name: os.path.getsize(os.path.join(rerun, name)) for name in os.listdir(rerun)}
+    assert main(second + ["--out", rerun]) == EXIT_OK
+    assert main(second + ["--out", fresh]) == EXIT_OK
+    names = sorted(os.listdir(fresh))
+    assert sorted(os.listdir(rerun)) == names and names == sorted(longer)
+    assert any(os.path.getsize(os.path.join(fresh, name)) < longer[name] for name in names)
+    for name in names:
+        assert read_bytes(os.path.join(rerun, name)) == read_bytes(os.path.join(fresh, name)), name
+
+
 @pytest.mark.parametrize("command, name", [("simulate", "simulate_batch"), ("oracle", "best_assignment_report")])
 def test_handler_calls_the_function_set_on_cli(tmp_path, monkeypatch, command, name):
     # set on the module before the handler binds its lazily loaded names: the handler keeps it

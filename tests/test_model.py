@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -280,7 +280,7 @@ def test_a_smooth_root_takes_secant_steps():
     params_with(CostModel.logarithmic(0.1, 1.0)),
 ])
 def test_limit_candidates_decide_each_double_once(params, monkeypatch):
-    # each exact sign costs EXACT_DIGITS-digit decimals, a Decimal.ln for the logarithmic family
+    # each exact sign costs EXACT_DIGITS-digit decimals, a Decimal.exp for the logarithmic family
     real, decided = model._excess_is_positive, []
 
     def counted(params, j):
@@ -290,6 +290,39 @@ def test_limit_candidates_decide_each_double_once(params, monkeypatch):
     monkeypatch.setattr(model, "_excess_is_positive", counted)
     assert _limit_candidates(params)
     assert decided and len(decided) == len(set(decided))
+
+
+def _positive_by_ln(params, j):
+    """g(j) > 0 with -log(1 - j) taken by Decimal.ln in 60 decimals."""
+    cost = params.cost
+    with localcontext() as ctx:
+        ctx.prec = 60
+        jd, p, c0, k = (Decimal(z) for z in (j, params.p, cost.c0, cost.k))
+        w = Context(prec=MAX_PREC).subtract(1, jd)  # exact, so a tiny j keeps its digits
+        return k * -w.ln() * (1 - jd * p) - (Decimal(params.p * params.v) - c0) - jd * p * c0 > 0
+
+
+@pytest.mark.parametrize("params", [
+    params_with(LOG),
+    params_with(CostModel.logarithmic(0.1, 1.0)),
+    params_with(CostModel.logarithmic(0.3, 0.7), v=3.0),
+    # two crossings: near the edge, near a tangency, and CI's tangent with steps
+    params_with(LOG, p=0.99, v=0.20202020202020202),
+    params_with(LOG, p=0.9, v=0.50135),
+    ModelParams(0.9003689050580037, 0.673362526347144, 0.5, CostModel.logarithmic(0.043980761669727204, 1.3147586388231716)),
+    # barely worthwhile, and p v far below k: crossings near 0, where exp(-y) is near 1
+    params_with(CostModel.logarithmic(1.0, 1.0), v=2.000000000000001),
+    params_with(CostModel.logarithmic(0.0, 3.0), p=0.02, v=1e-100),
+    params_with(LOG, v=1e-300),
+])
+def test_exact_sign_by_exp_agrees_with_a_60_digit_ln(params):
+    edge = 1.0 - BISECT_EDGE
+    crossings = [r for r in _limit_candidates(params) if r < edge]
+    assert crossings
+    for r in crossings:
+        for j in (r, math.nextafter(r, 1.0)):
+            assert model._excess_is_positive(params, j) == _positive_by_ln(params, j)
+        assert not model._excess_is_positive(params, r) and model._excess_is_positive(params, math.nextafter(r, 1.0))
 
 
 def test_the_root_finder_ends_on_nan_and_on_a_plateau(time_limit):

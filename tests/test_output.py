@@ -8,7 +8,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from innosearch import output
+from innosearch import cli, output
 from innosearch.output import _nice_ticks, format_cell, line_chart, write_json, write_svg, write_table
 
 
@@ -225,3 +225,91 @@ def test_chart_of_close_values_labels_its_axes(xs, ys):
     svg = line_chart("close", "x", "W(0)", [("W(0)", xs, ys)])
     assert svg.count('text-anchor="end"') >= 2  # y tick labels
     assert svg.count('text-anchor="middle">') >= 2 + 2  # x tick labels, title and x label
+
+
+# Each writer with a long and a short payload: the files it writes, and write(out_dir, long).
+REWRITES = {
+    "table": (["t.csv", "t.json"], lambda out, long: write_table(out, "t", ["a", "b"], [[0.1, "x"]] * (700 if long else 3))),
+    "json": (["p.json"], lambda out, long: write_json(out, "p", {"rows": list(range(500 if long else 2))})),
+    "svg": (["c.svg"], lambda out, long: write_svg(out, "c", chart() if long else "<svg/>\n")),
+}
+
+
+def read_all(out, files):
+    return [(out / name).read_bytes() for name in files]
+
+
+@pytest.mark.parametrize("writer", REWRITES)
+def test_a_shorter_rewrite_equals_a_fresh_write_on_the_same_inode(tmp_path, writer):
+    files, write = REWRITES[writer]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    write(str(reused), True)
+    inodes = [os.stat(reused / name).st_ino for name in files]
+    write(str(reused), False)
+    write(str(fresh), False)
+    assert read_all(reused, files) == read_all(fresh, files)
+    assert [os.stat(reused / name).st_ino for name in files] == inodes
+
+
+@pytest.mark.parametrize("writer", REWRITES)
+def test_a_symlinked_file_is_written_through(tmp_path, writer):
+    files, write = REWRITES[writer]
+    target, out, fresh = tmp_path / "target", tmp_path / "out", tmp_path / "fresh"
+    write(str(target), True)
+    out.mkdir()
+    for name in files:
+        (out / name).symlink_to(target / name)
+    write(str(out), False)
+    write(str(fresh), False)
+    assert all((out / name).is_symlink() for name in files)
+    assert read_all(target, files) == read_all(fresh, files)
+
+
+@pytest.mark.parametrize("writer", REWRITES)
+def test_a_new_file_takes_the_umask(tmp_path, writer):
+    files, write = REWRITES[writer]
+    umask = os.umask(0o027)
+    try:
+        write(str(tmp_path), False)
+    finally:
+        os.umask(umask)
+    assert [os.stat(tmp_path / name).st_mode & 0o777 for name in files] == [0o640] * len(files)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="the file mode does not stop root writing")
+@pytest.mark.parametrize("writer", REWRITES)
+def test_a_read_only_file_is_not_written(tmp_path, writer):
+    files, write = REWRITES[writer]
+    write(str(tmp_path), True)
+    before = read_all(tmp_path, files)
+    for name in files:
+        os.chmod(tmp_path / name, 0o444)
+    with pytest.raises(PermissionError):
+        write(str(tmp_path), False)
+    assert read_all(tmp_path, files) == before
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="the file mode does not stop root writing")
+def test_a_read_only_output_is_a_configuration_error(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["solve", "--horizon", "20", "--out", out]) == 0
+    os.chmod(os.path.join(out, "summary.json"), 0o444)
+    assert cli.main(["solve", "--horizon", "20", "--out", out]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+
+
+def test_a_ragged_table_leaves_only_the_csv_header(tmp_path):
+    _, write = REWRITES["table"]
+    write(str(tmp_path), True)
+    twin = (tmp_path / "t.json").read_bytes()
+    with pytest.raises(ValueError):
+        write_table(str(tmp_path), "t", ["a", "b"], [[1.0, 2.0], [3.0]])
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+    assert (tmp_path / "t.json").read_bytes() == twin  # the twin is not reached
+
+
+def test_a_file_linked_to_a_character_device_is_written(tmp_path):
+    # /dev/null has no length to cut: open(path, "w") writes to it, and so does every writer
+    (tmp_path / "c.svg").symlink_to(os.devnull)
+    write_svg(str(tmp_path), "c", chart())
+    assert (tmp_path / "c.svg").is_symlink()
