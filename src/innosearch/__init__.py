@@ -20,12 +20,9 @@ _SOURCES = {
     "model": (
         "CostFamily", "CostModel", "ModelParams", "cost_density", "cost_integral",
         "feasible_to_search", "myopic_boundary", "posterior_feasible", "search_upper_bound",
-        "ConvergenceError", "SolverConfig",
+        "ConvergenceError",
     ),
-    "solver": (
-        "backward_induction", "bellman_rhs", "continuation_inequality_check", "euler_residual",
-        "frontier_sequence", "value_iteration",
-    ),
+    "solver": ("SolverConfig", "value_iteration"),
     "foc": ("optimal_path", "truncated_path"),
     "oracle": (
         "Assignment", "BudgetExceededError", "DiscreteInstance", "best_assignment_report",

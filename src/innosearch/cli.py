@@ -25,8 +25,9 @@ summary.json and a sweep row share. The verdict is a success (exit 0).
 solve's value table and chart come from the path's orbits (foc.value_table).
 oracle compares its best assignment with the problem truncated to the same
 horizon, solved the same way from the last period (foc.truncated_path), so
-no command uses a grid and --grid-size affects none. solve and sweep work in
-floats and never import numpy; oracle and simulate load it when they start.
+no command uses a grid: --grid-size is parsed as an integer and read by nothing.
+solve and sweep work in floats and never import numpy; oracle and simulate load
+it when they start.
 
 FAILURES is the one exit-code policy, first matching row wins: 2 configuration
 or validation error, or a horizon too long for memory, 3 solver did not converge, 4 enumeration budget

@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .model import DEFAULT_BUDGET, MAX_RUNS, CostModel, ModelParams, SolverConfig
+from .model import DEFAULT_BUDGET, MAX_RUNS, CostModel, ModelParams
 
 
 class ConfigError(ValueError):
@@ -40,8 +40,8 @@ class RunConfig:
     cost_family: str = _setting("reciprocal", "reciprocal or logarithmic")
     c0: float = _setting(0.0, "marginal cost intercept")
     k: float = _setting(1.0, "marginal cost slope parameter")
-    # no command runs a grid; accepted and checked (>= 64) because the benchmark's commands pass it
-    grid_size: int = _setting(2048, "affects no command: no command runs a grid (still checked, >= 64)")
+    # read by nothing: parsed as an integer only because the benchmark's commands pass it
+    grid_size: int = _setting(2048, "affects no command: no command runs a grid")
     # simulation
     runs: int = _setting(100_000, "Monte Carlo run count")
     seed: int = _setting(12345, "64-bit simulation seed")
@@ -61,15 +61,8 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
-    def solver_config(self) -> SolverConfig:
-        try:
-            return SolverConfig(grid_size=self.grid_size)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-
     def validated(self) -> "RunConfig":
         self.model_params()
-        self.solver_config()
         if not (1 <= self.runs <= MAX_RUNS):
             raise ConfigError(f"runs must be in [1, 2**63 - 1 = {MAX_RUNS}], got {self.runs}")
         if not (0 <= self.seed < 2**64):

@@ -88,7 +88,7 @@ MAX_STEPS = 100_000
 MAX_SHOTS = 200
 # Orbits start at most this fraction of min(a, 1 - a) from their limit a.
 START_GAP = 1e-4
-# value_table traces about this many rows, one per node of the default grid.
+# value_table traces about this many rows: those of value.csv and the value chart.
 TABLE_ROWS = 2048
 # The least normal double: truncated_path bisects a path's last gap above it.
 MIN_GAP = 2.2250738585072014e-308

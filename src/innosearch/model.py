@@ -95,15 +95,6 @@ def assignment_count(choices: int, slots: int, budget: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    grid_size: int = 2048
-
-    def __post_init__(self):
-        if self.grid_size < 64:
-            raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
-
-
 class CostFamily(str, Enum):
     RECIPROCAL = "reciprocal"
     LOGARITHMIC = "logarithmic"
@@ -143,12 +134,17 @@ class ModelParams:
     cost: CostModel
 
     def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not (self.v > 0.0 and math.isfinite(self.v)):
-            raise ValueError(f"v must be finite and > 0, got {self.v}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        check_instance(self.p, self.v, self.delta)
+
+
+def check_instance(p: float, v: float, delta: float) -> None:
+    """ValueError unless p and delta lie in (0, 1) and v is finite and > 0."""
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError(f"v must be finite and > 0, got {v}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def _lib(x):

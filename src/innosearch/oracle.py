@@ -39,7 +39,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, assignment_count, cost_integral
+from .model import (
+    DEFAULT_BUDGET, BudgetExceededError, ModelParams, CostFamily, assignment_count, check_instance, cost_integral,
+)
 
 # assignments per enumeration block: one float64 buffer of this size stays in L2
 BLOCK_ELEMENTS = 1 << 16
@@ -56,12 +58,7 @@ class DiscreteInstance:
     slot_costs: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not (self.v > 0.0 and math.isfinite(self.v)):
-            raise ValueError(f"v must be finite and > 0, got {self.v}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        check_instance(self.p, self.v, self.delta)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         costs = np.asarray(self.slot_costs, dtype=float)

@@ -68,7 +68,6 @@ from .model import (
     ArrayLike,
     ConvergenceError,
     ModelParams,
-    SolverConfig,
     _density_slope,
     _interval_cost,
     cost_density,
@@ -90,6 +89,15 @@ EVAL_STEPS = 20
 TOL = 1e-9
 # Greedy sweeps value iteration runs before it gives up with ConvergenceError.
 MAX_SWEEPS = 100_000
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    grid_size: int = 2048
+
+    def __post_init__(self):
+        if self.grid_size < 64:
+            raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
 
 
 @dataclass

@@ -8,9 +8,9 @@ from innosearch import (
     CostModel,
     ModelParams,
     SolverConfig,
-    frontier_sequence,
     value_iteration,
 )
+from innosearch.solver import frontier_sequence
 
 # Every property test draws the same examples on every run and writes no example database.
 settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)

@@ -20,15 +20,10 @@ from innosearch import (
     ModelParams,
     SimConfig,
     SolverConfig,
-    backward_induction,
-    bellman_rhs,
     best_assignment_report,
     compare_with_continuous,
-    continuation_inequality_check,
     cost_density,
-    euler_residual,
     evaluate_assignment,
-    frontier_sequence,
     myopic_boundary,
     optimal_path,
     simulate_batch,
@@ -36,7 +31,14 @@ from innosearch import (
     truncated_path,
     value_iteration,
 )
-from innosearch.solver import TOL
+from innosearch.solver import (
+    TOL,
+    backward_induction,
+    bellman_rhs,
+    continuation_inequality_check,
+    euler_residual,
+    frontier_sequence,
+)
 
 SOLVER = SolverConfig(grid_size=2048)
 

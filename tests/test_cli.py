@@ -75,6 +75,27 @@ def test_solve_runs_no_grid(tmp_path):
         assert read_bytes(os.path.join(outs[0], name)) == read_bytes(os.path.join(outs[1], name)), name
 
 
+def test_grid_size_is_read_by_nothing(tmp_path):
+    # any integer --grid-size is accepted and changes no output byte; a malformed one is still exit 2
+    for argv in (
+        ["solve", "--horizon", "20"],
+        ["simulate", "--runs", "1000", "--horizon", "10"],
+        ["sweep", "--param", "v", "--values", "1,2", "--horizon", "10"],
+        ["oracle", "--slots", "4", "--horizon", "2"],
+    ):
+        outs = [str(tmp_path / argv[0] / n) for n in ("plain", "grid8")]
+        for extra, out in zip(([], ["--grid-size", "8"]), outs):
+            assert main(argv + extra + ["--format", "csv,json,svg", "--out", out]) == EXIT_OK, extra
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])), argv
+        for name in names:
+            assert read_bytes(os.path.join(outs[0], name)) == read_bytes(os.path.join(outs[1], name)), (argv, name)
+    assert main(["solve", "--grid-size", "banana", "--out", str(tmp_path / "banana")]) == EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_size = 2.5\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "fractional")]) == EXIT_CONFIG
+
+
 def test_solve_svg_output(tmp_path):
     out = str(tmp_path / "run")
     code = main(["solve", "--out", out, "--format", "csv,json,svg", "--horizon", "20"])
@@ -107,7 +128,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 @pytest.mark.parametrize(
     "argv,code",
     [
-        (["solve", "--grid-size", "8"], EXIT_CONFIG),
+        (["solve", "--grid-size", "2.5"], EXIT_CONFIG),
         (["solve", "--config", "/nonexistent/run.cfg"], EXIT_CONFIG),
         (["sweep", "--param", "delta", "--values", "0.5,1.5"], EXIT_CONFIG),
         (["sweep", "--param", "v", "--values", "1", "--start", "1", "--stop", "2", "--count", "2"], EXIT_CONFIG),
@@ -357,7 +378,10 @@ NO_SOLVER_SCRIPT = textwrap.dedent(
     """
     import json, sys
     from innosearch import cli
+    from innosearch.config import load_run_config
 
+    assert load_run_config(None, {"grid_size": "8"}).grid_size == 8
+    assert "innosearch.solver" not in sys.modules
     out = sys.argv[1]
     for i, argv in enumerate([
         ["oracle", "--slots", "4", "--horizon", "2"],

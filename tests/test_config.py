@@ -87,7 +87,6 @@ def test_precedence_default_file_override(tmp_path):
     [
         ("p", 1.5, "p"),
         ("cost_family", "cubic", "not a valid CostFamily"),
-        ("grid_size", 8, "grid_size"),
         ("runs", 0, "runs"),
         ("seed", 2**64, "seed"),
         ("horizon", 0, "horizon"),

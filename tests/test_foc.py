@@ -15,7 +15,6 @@ from innosearch import (
     SolverConfig,
     cost_integral,
     feasible_to_search,
-    frontier_sequence,
     myopic_boundary,
     optimal_path,
     search_upper_bound,
@@ -23,7 +22,7 @@ from innosearch import (
     value_iteration,
 )
 from innosearch import foc
-from innosearch.solver import backward_induction
+from innosearch.solver import backward_induction, frontier_sequence
 from innosearch.model import BISECT_EDGE, OutOfRangeError, _density_slope, _limit_candidates, cost_density
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"

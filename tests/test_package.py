@@ -4,14 +4,14 @@ from pathlib import Path
 import pytest
 
 import innosearch
+import innosearch.model
+import innosearch.solver
 
 PUBLIC_NAMES = [
     "__version__",
     "CostFamily", "CostModel", "ModelParams", "cost_density", "cost_integral",
     "feasible_to_search", "myopic_boundary", "posterior_feasible", "search_upper_bound",
-    "ConvergenceError", "SolverConfig", "backward_induction",
-    "bellman_rhs", "continuation_inequality_check", "euler_residual", "frontier_sequence",
-    "value_iteration", "optimal_path", "truncated_path",
+    "ConvergenceError", "SolverConfig", "value_iteration", "optimal_path", "truncated_path",
     "Assignment", "BudgetExceededError", "DiscreteInstance", "best_assignment_report",
     "compare_with_continuous", "evaluate_assignment", "evaluate_assignment_recursive",
     "structure_check",
@@ -36,6 +36,11 @@ def test_names_resolve_on_first_use():
     assert all(scope[name] is getattr(innosearch, name) for name in PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no_such_name"):
         innosearch.no_such_name
+
+
+def test_solver_config_lives_in_the_grid_solver():
+    assert innosearch.SolverConfig is innosearch.solver.SolverConfig
+    assert not hasattr(innosearch.model, "SolverConfig")
 
 
 def test_readme_library_example_runs():

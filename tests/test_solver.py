@@ -13,13 +13,8 @@ from innosearch import (
     CostModel,
     ModelParams,
     SolverConfig,
-    backward_induction,
-    bellman_rhs,
-    continuation_inequality_check,
     cost_integral,
-    euler_residual,
     feasible_to_search,
-    frontier_sequence,
     myopic_boundary,
     search_upper_bound,
     value_iteration,
@@ -39,6 +34,11 @@ from innosearch.solver import (
     _maximize_rows,
     _row_objective,
     _step,
+    backward_induction,
+    bellman_rhs,
+    continuation_inequality_check,
+    euler_residual,
+    frontier_sequence,
 )
 
 # frozen canonical results at grid 2048 (see conftest for the instance)
